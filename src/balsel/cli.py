@@ -250,9 +250,6 @@ def _select_on_model(m, r, no_collocate):
 
 def cmd_gramians(args):
     m = _load_model(args)
-    if not statespace.is_stable(m):
-        print("error: model is unstable; gramians undefined", file=sys.stderr)
-        return EXIT_DOMAIN
     grams = gramian.compute_gramians(m)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -267,9 +264,6 @@ def cmd_gramians(args):
 
 def cmd_select(args):
     m = _load_model(args)
-    if not statespace.is_stable(m):
-        print("error: model is unstable", file=sys.stderr)
-        return EXIT_DOMAIN
     r = args.rank or args.budget
     if not r:
         raise FormatError("--rank (or --budget) is required")
@@ -309,9 +303,6 @@ def cmd_select(args):
 
 def cmd_bruteforce(args):
     m = _load_model(args)
-    if not statespace.is_stable(m):
-        print("error: model is unstable", file=sys.stderr)
-        return EXIT_DOMAIN
     budget = args.budget or args.rank
     if not budget:
         raise FormatError("--budget (or --rank) is required")
@@ -343,16 +334,17 @@ def cmd_bruteforce(args):
 
 def cmd_bench_random(args):
     m = _load_model(args)
-    if not statespace.is_stable(m):
-        print("error: model is unstable", file=sys.stderr)
-        return EXIT_DOMAIN
     ranks = _parse_rank_list(args)
     seeds = [int(s) for s in (args.seeds or "0").split(",")]
+    # sweep before opening the file, so a failure leaves no partial CSV
+    sweeps = [
+        (seed, evaluation.rank_sweep(m, ranks, count=args.ensemble_count, seed=seed))
+        for seed in seeds
+    ]
     out = args.out or "bench_random.csv"
     with open(out, "w") as fh:
         fh.write("seed,r,qr_value,sample_id,sample_value\n")
-        for seed in seeds:
-            rows = evaluation.rank_sweep(m, ranks, count=args.ensemble_count, seed=seed)
+        for seed, rows in sweeps:
             for row in rows:
                 for sid, sval in enumerate(row["samples"]):
                     fh.write(

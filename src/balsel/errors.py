@@ -6,7 +6,7 @@ class BalselError(Exception):
 
 
 class DimensionError(BalselError, ValueError):
-    """Input matrix/vector dimensions are empty or inconsistent."""
+    """Input dimensions are empty or inconsistent, or entries are not finite."""
 
 
 class SingularMatrixError(BalselError, ValueError):

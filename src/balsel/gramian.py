@@ -72,8 +72,12 @@ def solve_lyapunov_continuous(a, m):
     n = a.shape[0]
     u, t = matkernel.schur(a)
     lam = np.diag(t)
-    if np.max(lam.real) >= 0.0:
-        raise UnstableSystemError("continuous Lyapunov equation needs Hurwitz A")
+    abscissa = np.max(lam.real)
+    if abscissa >= 0.0:
+        raise UnstableSystemError(
+            f"model is unstable: spectral abscissa {abscissa:.6g} >= 0 "
+            "(the continuous Lyapunov equation needs a Hurwitz A)"
+        )
     pairs = lam[:, None] + lam.conj()[None, :]
     if np.min(np.abs(pairs)) <= 1e-12 * max(np.abs(lam).max(), 1.0):
         raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
@@ -94,8 +98,12 @@ def solve_stein(a, m):
     n = a.shape[0]
     u, t = matkernel.schur(a)
     lam = np.diag(t)
-    if np.max(np.abs(lam)) >= 1.0:
-        raise UnstableSystemError("Stein equation needs spectral radius < 1")
+    radius = np.max(np.abs(lam))
+    if radius >= 1.0:
+        raise UnstableSystemError(
+            f"model is unstable: spectral radius {radius:.6g} >= 1 "
+            "(the Stein equation needs a Schur-stable A)"
+        )
     prods = lam[:, None] * lam.conj()[None, :]
     if np.min(np.abs(1.0 - prods)) <= 1e-12:
         raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
@@ -123,9 +131,11 @@ def stein_residual(a, w, m):
 
 
 def compute_gramians(m):
-    """Exact controllability and observability gramians of a stable model."""
-    if not statespace.is_stable(m):
-        raise UnstableSystemError("gramians are defined for stable systems only")
+    """Exact controllability and observability gramians of a stable model.
+
+    Stability is not tested separately: the Lyapunov/Stein solver raises
+    UnstableSystemError from the Schur form it computes anyway.
+    """
     bb = m.b @ m.b.conj().T
     cc = m.c.conj().T @ m.c
     if m.time_domain == statespace.CONTINUOUS:

@@ -14,13 +14,9 @@ import scipy.linalg as sla
 
 from .errors import DimensionError, NumericError, SingularMatrixError
 
-try:  # jit-compiled pivoting kernel; pure-numpy fallback below
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
+# The pivoting loop is plain numpy; there is no compiled variant.  The flag
+# stays for callers that record which loop ran.
+_HAVE_NUMBA = False
 
 __all__ = [
     "PivotedQR",
@@ -67,8 +63,11 @@ class PivotedQR:
         return p
 
 
-def _factor_loop_numpy(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
-    """Vectorized-numpy pivoting loop (fallback when numba is absent)."""
+def _factor_loop(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
+    """Greedy pivoting loop: pick, swap and reflect up to `steps` columns.
+
+    Returns the number of pivots chosen; their |R_kk| are in rdiag.
+    """
     m, n = r.shape
     nd = 0
 
@@ -96,26 +95,8 @@ def _factor_loop_numpy(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
         ties = cand[cnorms == best]
         swap(k, k + int(ties[np.argmin(perm[k + ties])]))
 
-        x = r[k:, k]
-        nx = np.sqrt(np.vdot(x, x).real)
-        rdiag[nd] = nx
+        rdiag[nd] = _reflect_column(r, q, k)
         nd += 1
-        if nx > 0.0:
-            phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-            beta = -phase * nx
-            w = x.copy()
-            w[0] -= beta
-            tau = 2.0 / np.vdot(w, w).real
-            wc = w.conj()
-            # reflector is Hermitian: apply to R rows k.., accumulate into Q
-            rblock = r[:, k:]
-            rblock[k:] -= np.multiply.outer(tau * w, wc @ rblock[k:])
-            q[:, k:] -= np.multiply.outer(q[:, k:] @ (tau * w), wc)
-            # normalize the diagonal entry to be real nonnegative
-            dphase = np.conj(beta) / nx
-            r[k, k:] *= dphase
-            q[:, k] *= np.conj(dphase)
-            r[k, k] = nx
 
         if k + 1 < n:
             row = r[k, k + 1 :]
@@ -132,100 +113,6 @@ def _factor_loop_numpy(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
                 norms2[cols] = fresh
                 ref2[cols] = fresh
     return nd
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _factor_loop_jit(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
-        m, n = r.shape
-        nd = 0
-        w = np.empty(m, np.complex128)
-        for k in range(steps):
-            # pivot: max residual norm among allowed, ties by lowest index
-            j = -1
-            best = -1.0
-            for t in range(k, n):
-                if not allowed[perm[t]]:
-                    continue
-                val = norms2[t] if k < m else 0.0
-                if j < 0 or val > best or (val == best and perm[t] < perm[j]):
-                    best = val
-                    j = t
-            if j < 0:
-                break
-            if j != k:
-                perm[k], perm[j] = perm[j], perm[k]
-                norms2[k], norms2[j] = norms2[j], norms2[k]
-                ref2[k], ref2[j] = ref2[j], ref2[k]
-                for i in range(m):
-                    tmp = r[i, k]
-                    r[i, k] = r[i, j]
-                    r[i, j] = tmp
-            if k >= m:
-                rdiag[nd] = 0.0
-                nd += 1
-                continue
-
-            acc = 0.0
-            for i in range(k, m):
-                z = r[i, k]
-                acc += z.real * z.real + z.imag * z.imag
-            nx = np.sqrt(acc)
-            rdiag[nd] = nx
-            nd += 1
-            if nx > 0.0:
-                x0 = r[k, k]
-                phase = x0 / abs(x0) if x0 != 0.0 else complex(1.0)
-                beta = -phase * nx
-                wnorm2 = 0.0
-                for i in range(k, m):
-                    w[i] = r[i, k]
-                w[k] -= beta
-                for i in range(k, m):
-                    wnorm2 += w[i].real * w[i].real + w[i].imag * w[i].imag
-                tau = 2.0 / wnorm2
-                # reflector is Hermitian: update R rows k.., fold into Q
-                for col in range(k, n):
-                    dot = complex(0.0)
-                    for i in range(k, m):
-                        dot += np.conj(w[i]) * r[i, col]
-                    dot *= tau
-                    for i in range(k, m):
-                        r[i, col] -= w[i] * dot
-                for row in range(m):
-                    dot = complex(0.0)
-                    for i in range(k, m):
-                        dot += q[row, i] * w[i]
-                    dot *= tau
-                    for i in range(k, m):
-                        q[row, i] -= dot * np.conj(w[i])
-                # normalize the diagonal entry to be real nonnegative
-                dphase = np.conj(beta) / nx
-                for col in range(k, n):
-                    r[k, col] *= dphase
-                for row in range(m):
-                    q[row, k] *= np.conj(dphase)
-                r[k, k] = complex(nx)
-
-            if k + 1 < m:
-                for col in range(k + 1, n):
-                    z = r[k, col]
-                    upd = norms2[col] - (z.real * z.real + z.imag * z.imag)
-                    if upd < 0.0:
-                        upd = 0.0
-                    if upd <= tol * ref2[col]:
-                        acc = 0.0
-                        for i in range(k + 1, m):
-                            zz = r[i, col]
-                            acc += zz.real * zz.real + zz.imag * zz.imag
-                        upd = acc
-                        ref2[col] = acc
-                    norms2[col] = upd
-            else:
-                for col in range(k + 1, n):
-                    norms2[col] = 0.0
-        return nd
 
 
 def pivoted_qr(v, forbidden=(), max_pivots=None):
@@ -271,8 +158,7 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
 
     steps = n if max_pivots is None else min(max_pivots, n)
     rdiag = np.zeros(steps)
-    loop = _factor_loop_jit if _HAVE_NUMBA else _factor_loop_numpy
-    nd = loop(r, q, perm, allowed, norms2, ref2, steps, rdiag, _DOWNDATE_TOL)
+    nd = _factor_loop(r, q, perm, allowed, norms2, ref2, steps, rdiag, _DOWNDATE_TOL)
 
     # the pivoted prefix may stop early (max_pivots, or allowed columns
     # exhausted); the remaining columns still need unpivoted reflections so
@@ -290,12 +176,16 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
 
 
 def _reflect_column(r, q, k):
-    """Apply one unpivoted Householder step at column k (updates r and q)."""
-    m = r.shape[0]
+    """Apply one Householder step at column k (updates r and q in place).
+
+    The reflector zeroes r[k+1:, k] and leaves r[k, k] real nonnegative; it
+    is Hermitian, so it is applied to R rows k.. and accumulated into Q.
+    Returns |R_kk|, the norm of the column below the diagonal.
+    """
     x = r[k:, k]
     nx = np.sqrt(np.vdot(x, x).real)
     if nx == 0.0:
-        return
+        return nx
     phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
     beta = -phase * nx
     w = x.copy()
@@ -308,6 +198,7 @@ def _reflect_column(r, q, k):
     r[k, k:] *= dphase
     q[:, k] *= np.conj(dphase)
     r[k, k] = nx
+    return nx
 
 
 def svd(a):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import balancing, gramian, matkernel, selection, statespace
-from .errors import DimensionError, SynthesisError
+from .errors import DimensionError, SynthesisError, UnstableSystemError
 
 __all__ = [
     "GinzburgLandauParams",
@@ -206,8 +206,9 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     F solves the control Riccati equation with weights (q_hat, r_hat);
     L the dual filter equation with process covariance w_cov and
     measurement covariance v_cov.  Defaults: q_hat = r_hat = w_cov = I,
-    v_cov = 4e-8 I.  All three stability requirements (regulator,
-    estimator, controller) are verified.
+    v_cov = 4e-8 I.  solve_care verifies that the regulator A - B2 F and
+    the estimator A - L C2 are stable; the controller A - B2 F - L C2 is
+    checked here.
     """
     a = matkernel.as_complex(a)
     b2 = matkernel.as_complex(b2)
@@ -228,9 +229,8 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     l = np.linalg.solve(v_cov.conj().T, c2 @ y.conj().T).conj().T
 
     a_k = a - b2 @ f - l @ c2
-    for name, mat in (("regulator", a - b2 @ f), ("estimator", a - l @ c2), ("controller", a_k)):
-        if np.max(matkernel.eigvals(mat).real) >= 0.0:
-            raise SynthesisError(f"{name} dynamics are not stable")
+    if np.max(matkernel.eigvals(a_k).real) >= 0.0:
+        raise SynthesisError("controller dynamics are not stable")
     controller = statespace.StateSpaceModel(a_k, l, -f, time_domain=statespace.CONTINUOUS)
     return LQGController(
         f_gain=f,
@@ -305,9 +305,10 @@ def closed_loop_h2(cl_model):
     conditioned, so the controllability/observability cross-check runs at
     a loosened 1e-6 relative tolerance here.
     """
-    if not statespace.is_stable(cl_model):
+    try:
+        grams = gramian.compute_gramians(cl_model)
+    except UnstableSystemError:
         return np.inf, False
-    grams = gramian.compute_gramians(cl_model)
     return statespace.h2_norm_gramian(cl_model, grams, rel_tol=1e-6), True
 
 

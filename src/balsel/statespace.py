@@ -53,6 +53,9 @@ class StateSpaceModel:
             raise DimensionError(f"input matrix must have {n} rows")
         if self.c.shape[1] != n:
             raise DimensionError(f"output matrix must have {n} columns")
+        for name, mat in (("A", self.a), ("B", self.b), ("C", self.c)):
+            if not np.all(np.isfinite(mat)):
+                raise DimensionError(f"{name} has non-finite (nan or inf) entries")
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")
 

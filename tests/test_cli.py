@@ -84,6 +84,53 @@ class TestKeyValueConfig:
             cli.read_keyvalue_config("novalue\n")
 
 
+class TestModelInputErrors:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("gramians", []),
+            ("select", ["--rank", "1"]),
+            ("bruteforce", ["--budget", "1"]),
+            ("bench-random", ["--rank", "1"]),
+        ],
+        ids=["gramians", "select", "bruteforce", "bench-random"],
+    )
+    def test_unstable_model_exit_2(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "u.txt"
+        m = statespace.StateSpaceModel([[1.0]], [[1.0]], [[1.0]])
+        with open(path, "w") as fh:
+            cli.write_model(fh, m)
+        out = tmp_path / "out"
+        argv = [command, "--model", str(path), "--out", str(out)] + extra
+        assert run(argv) == 2
+        assert "unstable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("gramians", []), ("select", ["--rank", "1"])],
+        ids=["gramians", "select"],
+    )
+    @pytest.mark.parametrize(
+        "field, a, b, c",
+        [
+            ("real", "nan", "1", "1"),
+            ("real", "-1", "inf", "1"),
+            ("real", "-1", "1", "-inf"),
+            ("complex", "-1,nan", "1,0", "1,0"),
+        ],
+    )
+    def test_non_finite_model_exit_3(
+        self, tmp_path, capsys, command, extra, field, a, b, c
+    ):
+        path = tmp_path / "nf.txt"
+        blocks = "".join(f"matrix 1 1 {field}\n{x}\n" for x in (a, b, c))
+        path.write_text("model continuous\n" + blocks)
+        assert run([command, "--model", str(path)] + extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "non-finite" in err
+
+
 class TestGramiansCommand:
     def test_scalar_file(self, tmp_path, capsys):
         path = write_scalar_model(tmp_path / "m.txt")
@@ -96,13 +143,6 @@ class TestGramiansCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("model continuous\nmatrix 1 1 real\n")
         assert run(["gramians", "--model", str(bad)]) == 3
-
-    def test_unstable_model_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "u.txt"
-        m = statespace.StateSpaceModel([[1.0]], [[1.0]], [[1.0]])
-        with open(path, "w") as fh:
-            cli.write_model(fh, m)
-        assert run(["gramians", "--model", str(path)]) == 2
 
     def test_generated_outputs_reload_psd(self, tmp_path, capsys):
         out = tmp_path / "g"

@@ -157,31 +157,6 @@ class TestFactorizationResiduals:
                 np.linalg.norm(sq), 1e-300
             )
 
-    def test_numpy_fallback_matches_jit_kernel(self):
-        # the pure-numpy loop must stay interchangeable with the compiled one
-        if not matkernel._HAVE_NUMBA:
-            pytest.skip("numba inactive: the fallback is already under test")
-        rng = np.random.default_rng(31)
-        for forbidden in ((), (1, 4)):
-            v = random_complex(rng, 5, 9)
-            ref = matkernel.pivoted_qr(v, forbidden=forbidden)
-            n = v.shape[1]
-            r = np.ascontiguousarray(v, dtype=np.complex128).copy()
-            q = np.eye(5, dtype=np.complex128)
-            perm = np.arange(n)
-            allowed = np.ones(n, dtype=bool)
-            allowed[list(forbidden)] = False
-            norms2 = np.sum(np.abs(r) ** 2, axis=0)
-            rdiag = np.zeros(n)
-            nd = matkernel._factor_loop_numpy(
-                r, q, perm, allowed, norms2, norms2.copy(), n, rdiag, 1e-7
-            )
-            assert perm.tolist() == ref.pivot_order.tolist()
-            assert nd == ref.n_steps
-            np.testing.assert_allclose(rdiag[:nd], ref.r_diagonal, atol=1e-12)
-            np.testing.assert_allclose(np.triu(r), ref.r_factor, atol=1e-12)
-            np.testing.assert_allclose(q, ref.q_factor, atol=1e-12)
-
 
 class TestSVD:
     def test_diagonal(self):

@@ -24,6 +24,15 @@ class TestModel:
         with pytest.raises(DimensionError):
             StateSpaceModel(np.eye(2), np.zeros((2, 1)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("which", ["a", "b", "c"])
+    def test_non_finite_entries_rejected(self, bad, which):
+        mats = {"a": -np.eye(2), "b": np.ones((2, 1)), "c": np.ones((1, 2))}
+        mats = {k: v.astype(complex) for k, v in mats.items()}
+        mats[which][0, 0] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            StateSpaceModel(mats["a"], mats["b"], mats["c"])
+
     def test_shapes(self):
         m = StateSpaceModel(np.eye(3) * -1, np.ones((3, 2)), np.ones((4, 3)))
         assert (m.n, m.q, m.p) == (3, 2, 4)
