@@ -18,6 +18,7 @@ from .evaluation import (
     percentile_strictly_below,
     random_ensemble,
     rank_sweep,
+    rank_sweeps,
     trace_objective,
 )
 from .gramian import (

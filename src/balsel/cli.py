@@ -69,10 +69,41 @@ def write_matrix(fh, a, name=None):
         fh.write(" ".join(_fmt_entry(z, field) for z in row) + "\n")
 
 
-def _tokenize(text):
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        yield from line.split()
+class _Tokens:
+    """Whitespace tokens of a text with '#' comments stripped.
+
+    Iterating yields one token at a time; `take` hands out the rest of the
+    current line at once, so a matrix row is converted in one numpy call.
+    """
+
+    def __init__(self, text):
+        self._lines = iter(text.splitlines())
+        self._line = []
+        self._pos = 0
+
+    def _current_line(self):
+        while self._pos >= len(self._line):
+            self._line = next(self._lines).split("#", 1)[0].split()
+            self._pos = 0
+        return self._line
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = self._current_line()
+        self._pos += 1
+        return line[self._pos - 1]
+
+    def take(self, limit):
+        """Up to `limit` tokens from the current line ([] at the end of text)."""
+        try:
+            line = self._current_line()
+        except StopIteration:
+            return []
+        start = self._pos
+        self._pos = min(len(line), start + limit)
+        return line[start : self._pos]
 
 
 def _parse_entry(tok, field):
@@ -83,6 +114,27 @@ def _parse_entry(tok, field):
         return complex(float(tok), 0.0)
     except ValueError as exc:
         raise FormatError(f"bad matrix entry {tok!r}") from exc
+
+
+def _parse_entries(tokens, field, out):
+    """Parse `tokens` into the complex slice `out`.
+
+    Real and imaginary parts are assigned through the `.real`/`.imag`
+    views (never as re + 1j*im, which turns an infinite im into nan).  On
+    a conversion error the tokens are parsed one by one to name the first
+    bad entry.
+    """
+    try:
+        if field == "complex":
+            parts = np.array([tok.split(",") for tok in tokens], dtype=float)
+            if parts.shape[1] != 2:
+                raise ValueError("complex entries need exactly one comma")
+            out.real = parts[:, 0]
+            out.imag = parts[:, 1]
+        else:
+            out.real = np.array(tokens, dtype=float)
+    except ValueError:
+        out[:] = [_parse_entry(tok, field) for tok in tokens]
 
 
 def _read_matrix_tokens(tokens):
@@ -98,20 +150,27 @@ def _read_matrix_tokens(tokens):
         field = next(tokens)
     except (StopIteration, ValueError) as exc:
         raise FormatError("malformed matrix header") from exc
+    if rows < 0 or cols < 0:
+        raise FormatError("malformed matrix header")
     if field not in ("real", "complex"):
         raise FormatError(f"unknown field tag {field!r}")
-    data = np.empty(rows * cols, dtype=np.complex128)
-    for i in range(rows * cols):
-        try:
-            data[i] = _parse_entry(next(tokens), field)
-        except StopIteration as exc:
-            raise FormatError("matrix block ended early") from exc
+    total = rows * cols
+    data = np.zeros(total, dtype=np.complex128)
+    filled = 0
+    while filled < total:
+        chunk = tokens.take(total - filled)
+        if not chunk:
+            raise FormatError("matrix block ended early")
+        _parse_entries(chunk, field, data[filled : filled + len(chunk)])
+        filled += len(chunk)
+    if not np.isfinite(data).all():
+        raise FormatError("matrix has non-finite (nan or inf) entries")
     return data.reshape(rows, cols)
 
 
 def read_matrix(text):
     """Parse one matrix block from text in the matrix text format."""
-    return _read_matrix_tokens(_tokenize(text))
+    return _read_matrix_tokens(_Tokens(text))
 
 
 def write_model(fh, m):
@@ -123,7 +182,7 @@ def write_model(fh, m):
 
 def read_model(text):
     """Parse a model file: 'model <domain>' plus A, B, C matrix blocks."""
-    tokens = _tokenize(text)
+    tokens = _Tokens(text)
     try:
         head = next(tokens)
     except StopIteration as exc:
@@ -335,12 +394,12 @@ def cmd_bruteforce(args):
 def cmd_bench_random(args):
     m = _load_model(args)
     ranks = _parse_rank_list(args)
-    seeds = [int(s) for s in (args.seeds or "0").split(",")]
+    try:
+        seeds = [int(s) for s in (args.seeds or "0").split(",")]
+    except ValueError as exc:
+        raise FormatError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
     # sweep before opening the file, so a failure leaves no partial CSV
-    sweeps = [
-        (seed, evaluation.rank_sweep(m, ranks, count=args.ensemble_count, seed=seed))
-        for seed in seeds
-    ]
+    sweeps = zip(seeds, evaluation.rank_sweeps(m, ranks, seeds, count=args.ensemble_count))
     out = args.out or "bench_random.csv"
     with open(out, "w") as fh:
         fh.write("seed,r,qr_value,sample_id,sample_value\n")
@@ -358,10 +417,13 @@ def _parse_rank_list(args):
     if args.rank:
         return [args.rank]
     spec = args.ranks or "1-10"
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in spec.split(",")]
+    try:
+        if "-" in spec:
+            lo, hi = spec.split("-", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise FormatError(f"--ranks expects lo-hi or a comma list, got {spec!r}") from exc
 
 
 def cmd_gl_demo(args):

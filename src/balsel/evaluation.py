@@ -26,6 +26,7 @@ __all__ = [
     "random_ensemble",
     "percentile_strictly_below",
     "rank_sweep",
+    "rank_sweeps",
 ]
 
 DEFAULT_CAP = 10**6
@@ -178,28 +179,43 @@ def rank_sweep(model, ranks, count=200, seed=0):
     against `count` random sensor/actuator pairs.  Returns a list of dicts
     with keys r, qr_value, samples, median, percentile.
     """
+    return rank_sweeps(model, ranks, [seed], count=count)[0]
+
+
+def rank_sweeps(model, ranks, seeds, count=200):
+    """`rank_sweep` for each ensemble seed in `seeds`, as a list of row lists.
+
+    The gramians and the per-rank QR selections do not depend on the seed,
+    so they are computed once for all seeds.
+    """
     grams = gramian.compute_gramians(model)
     gram_sensor = matkernel.as_complex(model.c @ grams.w_c @ model.c.conj().T)
     gram_actuator = matkernel.as_complex(model.b.conj().T @ grams.w_o @ model.b)
-    rng = np.random.default_rng(seed)
-    rows = []
+    qr_values = []
     for r in ranks:
         bal = balancing.balance(grams, r)
         sel = selection.select_subsets(model.c, model.b, bal.psi_r, bal.phi_r)
-        qr_value = logdet_objective(sel.gamma, gram_sensor) + logdet_objective(
-            sel.beta, gram_actuator, "actuator"
+        qr_values.append(
+            logdet_objective(sel.gamma, gram_sensor)
+            + logdet_objective(sel.beta, gram_actuator, "actuator")
         )
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        sens = random_ensemble(gram_sensor, r, count, sub_seed)
-        act = random_ensemble(gram_actuator, r, count, sub_seed + 1)
-        samples = sens.samples + act.samples
-        rows.append(
-            {
-                "r": r,
-                "qr_value": qr_value,
-                "samples": samples,
-                "median": float(np.median(samples)),
-                "percentile": percentile_strictly_below(samples, qr_value),
-            }
-        )
-    return rows
+    sweeps = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rows = []
+        for r, qr_value in zip(ranks, qr_values):
+            sub_seed = int(rng.integers(0, 2**63 - 1))
+            sens = random_ensemble(gram_sensor, r, count, sub_seed)
+            act = random_ensemble(gram_actuator, r, count, sub_seed + 1)
+            samples = sens.samples + act.samples
+            rows.append(
+                {
+                    "r": r,
+                    "qr_value": qr_value,
+                    "samples": samples,
+                    "median": float(np.median(samples)),
+                    "percentile": percentile_strictly_below(samples, qr_value),
+                }
+            )
+        sweeps.append(rows)
+    return sweeps

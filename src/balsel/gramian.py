@@ -1,10 +1,13 @@
 """Exact and empirical gramians; Lyapunov, Stein and Riccati solvers.
 
-The matrix-equation solvers reduce to complex Schur form and back-substitute
-column by column (Bartels-Stewart), so one triangular code path serves real
-and complex systems alike.  The Riccati solver is Laub's ordered-Schur
-method on the Hamiltonian matrix with one Newton refinement step when the
-residual warrants it.
+The matrix-equation solvers reduce to complex Schur form and solve the
+triangular equation (Bartels-Stewart), so one code path serves real and
+complex systems alike: LAPACK's ZTRSYL solves the continuous Lyapunov
+equation, and the Stein equation is swept column by column with ZTRTRS.
+`compute_gramians` factors A once per gramian pair and reads the Schur
+form of A* off it by a flip (see there).  The Riccati solver is Laub's
+ordered-Schur method on the Hamiltonian matrix with one Newton refinement
+step when the residual warrants it.
 """
 
 import warnings
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import matkernel, statespace
 from .errors import (
@@ -66,11 +70,8 @@ def _real_if_real_inputs(w, *inputs):
     return w.real.astype(np.complex128)
 
 
-def solve_lyapunov_continuous(a, m):
-    """Solve A W + W A* + M = 0 for Hurwitz A and Hermitian M."""
-    a, m = _check_square_pair(a, m)
-    n = a.shape[0]
-    u, t = matkernel.schur(a)
+def _lyapunov_from_schur(u, t, m):
+    """Solve A W + W A* + M = 0 given the Schur form A = U T U*."""
     lam = np.diag(t)
     abscissa = np.max(lam.real)
     if abscissa >= 0.0:
@@ -81,22 +82,16 @@ def solve_lyapunov_continuous(a, m):
     pairs = lam[:, None] + lam.conj()[None, :]
     if np.min(np.abs(pairs)) <= 1e-12 * max(np.abs(lam).max(), 1.0):
         raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
-    mt = -(u.conj().T @ m @ u)
-    w = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        rhs = mt[:, k]
-        if k + 1 < n:
-            rhs = rhs - w[:, k + 1 :] @ t[k, k + 1 :].conj()
-        w[:, k] = sla.solve_triangular(t + np.conj(t[k, k]) * eye, rhs)
-    return _real_if_real_inputs(_hermitize(u @ w @ u.conj().T), a, m)
+    # T X + X T* = -U* M U, solved by LAPACK's triangular Sylvester solver
+    x, scale, info = lapack.ztrsyl(t, t, -(u.conj().T @ m @ u), trana="N", tranb="C")
+    if info == 1:
+        raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
+    return _hermitize(u @ (x / scale) @ u.conj().T)
 
 
-def solve_stein(a, m):
-    """Solve A W A* - W + M = 0 for Schur-stable A and Hermitian M."""
-    a, m = _check_square_pair(a, m)
-    n = a.shape[0]
-    u, t = matkernel.schur(a)
+def _stein_from_schur(u, t, m):
+    """Solve A W A* - W + M = 0 given the Schur form A = U T U*."""
+    n = t.shape[0]
     lam = np.diag(t)
     radius = np.max(np.abs(lam))
     if radius >= 1.0:
@@ -107,15 +102,38 @@ def solve_stein(a, m):
     prods = lam[:, None] * lam.conj()[None, :]
     if np.min(np.abs(1.0 - prods)) <= 1e-12:
         raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
+    # T X T* - X = -U* M U, swept from the last column: column k solves
+    # (conj(t_kk) T - I) x_k = -mt_k - (T X)[:, k+1:] conj(t[k, k+1:])
     mt = u.conj().T @ m @ u
-    w = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n)
+    t = np.asfortranarray(t)
+    x = np.empty((n, n), dtype=np.complex128, order="F")
+    tx = np.empty((n, n), dtype=np.complex128, order="F")
+    coef = np.empty((n, n), dtype=np.complex128, order="F")
+    diag = np.arange(n)
     for k in range(n - 1, -1, -1):
         rhs = -mt[:, k]
         if k + 1 < n:
-            rhs = rhs - t @ (w[:, k + 1 :] @ t[k, k + 1 :].conj())
-        w[:, k] = sla.solve_triangular(np.conj(t[k, k]) * t - eye, rhs)
-    return _real_if_real_inputs(_hermitize(u @ w @ u.conj().T), a, m)
+            rhs -= tx[:, k + 1 :] @ t[k, k + 1 :].conj()
+        np.multiply(t, np.conj(t[k, k]), out=coef)
+        coef[diag, diag] -= 1.0
+        xk, _ = lapack.ztrtrs(coef, rhs[:, None])
+        x[:, k] = xk[:, 0]
+        tx[:, k] = t @ x[:, k]
+    return _hermitize(u @ x @ u.conj().T)
+
+
+def solve_lyapunov_continuous(a, m):
+    """Solve A W + W A* + M = 0 for Hurwitz A and Hermitian M."""
+    a, m = _check_square_pair(a, m)
+    u, t = matkernel.schur(a)
+    return _real_if_real_inputs(_lyapunov_from_schur(u, t, m), a, m)
+
+
+def solve_stein(a, m):
+    """Solve A W A* - W + M = 0 for Schur-stable A and Hermitian M."""
+    a, m = _check_square_pair(a, m)
+    u, t = matkernel.schur(a)
+    return _real_if_real_inputs(_stein_from_schur(u, t, m), a, m)
 
 
 def lyapunov_residual(a, w, m):
@@ -133,21 +151,25 @@ def stein_residual(a, w, m):
 def compute_gramians(m):
     """Exact controllability and observability gramians of a stable model.
 
-    Stability is not tested separately: the Lyapunov/Stein solver raises
-    UnstableSystemError from the Schur form it computes anyway.
+    A is factored once.  The adjoint's Schur form is the flipped one,
+    A* = (U J)(J T* J)(U J)*, with J the reversal permutation, so J T* J is
+    again upper triangular.  Stability is not tested separately: the
+    solver raises UnstableSystemError from the Schur form's diagonal.
     """
     bb = m.b @ m.b.conj().T
     cc = m.c.conj().T @ m.c
+    u, t = matkernel.schur(m.a)
+    u_adj = np.ascontiguousarray(u[:, ::-1])
+    t_adj = np.ascontiguousarray(t.conj().T[::-1, ::-1])
+    a_adj = m.a.conj().T
     if m.time_domain == statespace.CONTINUOUS:
-        w_c = solve_lyapunov_continuous(m.a, bb)
-        w_o = solve_lyapunov_continuous(m.a.conj().T, cc)
-        res_c = lyapunov_residual(m.a, w_c, bb)
-        res_o = lyapunov_residual(m.a.conj().T, w_o, cc)
+        solve, residual = _lyapunov_from_schur, lyapunov_residual
     else:
-        w_c = solve_stein(m.a, bb)
-        w_o = solve_stein(m.a.conj().T, cc)
-        res_c = stein_residual(m.a, w_c, bb)
-        res_o = stein_residual(m.a.conj().T, w_o, cc)
+        solve, residual = _stein_from_schur, stein_residual
+    w_c = _real_if_real_inputs(solve(u, t, bb), m.a, bb)
+    w_o = _real_if_real_inputs(solve(u_adj, t_adj, cc), a_adj, cc)
+    res_c = residual(m.a, w_c, bb)
+    res_o = residual(a_adj, w_o, cc)
     return GramianPair(w_c, w_o, res_c, res_o, source_tag="exact")
 
 

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from balsel import cli, models, statespace
+from balsel import cli, evaluation, models, statespace
 from balsel.errors import FormatError
 
 
@@ -53,9 +53,47 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             cli.read_matrix("matrice 2 2 real\n1 2 3 4")
 
+    def test_negative_dimensions(self):
+        with pytest.raises(FormatError, match="malformed matrix header"):
+            cli.read_matrix("matrix -1 -2 real\n1 2")
+
     def test_truncated_block(self):
         with pytest.raises(FormatError):
             cli.read_matrix("matrix 2 2 real\n1 2 3")
+
+    def test_block_ending_mid_line(self):
+        text = "model discrete matrix 1 1 real 0.5 matrix 1 1 real 2 matrix 1 1 real 3"
+        m = cli.read_model(text)
+        assert (m.a[0, 0], m.b[0, 0], m.c[0, 0]) == (0.5, 2.0, 3.0)
+
+    def test_row_split_across_lines(self):
+        text = "matrix 2 3 real\n1 2\n3 4 5\n6\n"
+        np.testing.assert_array_equal(cli.read_matrix(text).real, [[1, 2, 3], [4, 5, 6]])
+
+    def test_mid_line_comment(self):
+        text = "matrix 2 2 complex\n1,2 3,-4 # 9,9 x\n-5,6 # comment\n7,0\n"
+        back = cli.read_matrix(text)
+        np.testing.assert_array_equal(back, [[1 + 2j, 3 - 4j], [-5 + 6j, 7]])
+
+    def test_bad_token_mid_row(self):
+        with pytest.raises(FormatError, match=r"^bad matrix entry 'x'$"):
+            cli.read_matrix("matrix 2 2 real\n1 x 3 y\n")
+
+    def test_three_parts_in_complex_block(self):
+        with pytest.raises(FormatError, match=r"^bad matrix entry '1,2,3'$"):
+            cli.read_matrix("matrix 1 2 complex\n1,2 1,2,3\n")
+
+    def test_short_block(self):
+        with pytest.raises(FormatError, match=r"^matrix block ended early$"):
+            cli.read_matrix("matrix 2 2 real\n1 2\n3 # 4\n")
+
+    @pytest.mark.parametrize(
+        "field, row",
+        [("real", "nan 1"), ("real", "inf 1"), ("real", "1 -inf"), ("complex", "nan,0 1,0")],
+    )
+    def test_non_finite_entry_rejected(self, field, row):
+        with pytest.raises(FormatError, match="non-finite"):
+            cli.read_matrix(f"matrix 1 2 {field}\n{row}\n")
 
 
 class TestModelFormat:
@@ -251,6 +289,33 @@ class TestBenchRandomCommand:
         assert len(lines) == 1 + 200
         assert out1.read_bytes() == out2.read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "option, value", [("--ranks", "a-b"), ("--ranks", "1,x"), ("--seeds", "0,x")]
+    )
+    def test_bad_rank_or_seed_list_exit_3(self, tmp_path, capsys, option, value):
+        out = tmp_path / "r.csv"
+        args = ["bench-random", "--generate", "10,10,10,1", option, value, "--out", str(out)]
+        assert run(args) == 3
+        assert capsys.readouterr().err.startswith("parse error:")
+        assert not out.exists()
+
+    def test_gramians_solved_once_for_all_seeds(self, tmp_path, capsys, schur_calls):
+        out = tmp_path / "r.csv"
+        args = ["bench-random", "--generate", "10,10,10,1", "--ranks", "1-3"]
+        args += ["--seeds", "0,1,2", "--ensemble-count", "20", "--out", str(out)]
+        assert run(args) == 0
+        assert schur_calls == [10]
+        # the same bytes as one independent sweep per seed
+        m = models.random_stable_system(10, 10, 10, 1)
+        lines = ["seed,r,qr_value,sample_id,sample_value\n"]
+        for seed in (0, 1, 2):
+            for row in evaluation.rank_sweep(m, [1, 2, 3], count=20, seed=seed):
+                for sid, sval in enumerate(row["samples"]):
+                    lines.append(
+                        f"{seed},{row['r']},{row['qr_value']:.17g},{sid},{sval:.17g}\n"
+                    )
+        assert out.read_text() == "".join(lines)
 
 class TestGLDemoCommand:
     def test_small_run(self, tmp_path, capsys):

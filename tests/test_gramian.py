@@ -92,6 +92,63 @@ class TestComputeGramians:
             assert t1 == pytest.approx(t2, rel=1e-8)
 
 
+def _non_normal_a(n, field, domain, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + np.triu(3.0 * rng.standard_normal((n, n)), 1)
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((n, n))
+    lam = np.linalg.eigvals(g)
+    if domain == statespace.CONTINUOUS:
+        return g - (lam.real.max() + 0.5) * np.eye(n)
+    return g / (1.25 * np.abs(lam).max())
+
+
+class TestAdjointFlip:
+    # compute_gramians factors A once and reuses the flipped Schur form for
+    # A*; the result must match a separate solve with A* itself
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+    def test_observability_gramian_matches_direct_solve(self, field, domain):
+        n = 12
+        a = _non_normal_a(n, field, domain, seed=41)
+        rng = np.random.default_rng(42)
+        m = StateSpaceModel(a, rng.standard_normal((n, 3)), rng.standard_normal((2, n)), domain)
+        g = gramian.compute_gramians(m)
+        cc = m.c.conj().T @ m.c
+        if domain == statespace.CONTINUOUS:
+            direct = gramian.solve_lyapunov_continuous(m.a.conj().T, cc)
+        else:
+            direct = gramian.solve_stein(m.a.conj().T, cc)
+        assert np.linalg.norm(g.w_o - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert g.residual_c <= 1e-9
+        assert g.residual_o <= 1e-9
+
+    @pytest.mark.parametrize(
+        "domain, a, match",
+        [
+            (statespace.CONTINUOUS, [[1.0, 2.0], [0.0, -1.0]], "spectral abscissa 1 >= 0"),
+            (statespace.DISCRETE, [[1.5, 2.0], [0.0, 0.5]], "spectral radius 1.5 >= 1"),
+        ],
+    )
+    def test_unstable_model_raises(self, domain, a, match):
+        m = StateSpaceModel(a, np.eye(2), np.eye(2), domain)
+        with pytest.raises(UnstableSystemError, match=match):
+            gramian.compute_gramians(m)
+
+    def test_ill_posed_continuous(self):
+        m = StateSpaceModel(np.diag([-1e-16 + 1j, -1e-16 - 1j]), np.eye(2), np.eye(2))
+        with pytest.raises(IllPosedError, match=r"lambda_i \+ conj\(lambda_j\) ~ 0"):
+            gramian.compute_gramians(m)
+
+    def test_ill_posed_stein(self):
+        a = np.diag([1.0 - 1e-13, 0.5])
+        with pytest.raises(IllPosedError, match=r"lambda_i \* conj\(lambda_j\) ~ 1"):
+            gramian.solve_stein(a, np.eye(2))
+        m = StateSpaceModel(a, np.eye(2), np.eye(2), statespace.DISCRETE)
+        with pytest.raises(IllPosedError, match=r"lambda_i \* conj\(lambda_j\) ~ 1"):
+            gramian.compute_gramians(m)
+
+
 class TestEmpiricalGramians:
     def test_scalar_value_with_marginal_horizon_warning(self):
         m = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])

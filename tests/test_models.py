@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balsel import gramian, matkernel, models, statespace
+from balsel import gramian, models, statespace
 from balsel.errors import DimensionError
 from balsel.statespace import StateSpaceModel
 
@@ -224,27 +224,14 @@ class TestGLPipelineSmall:
             assert np.abs(actuators - s).min() <= 2
 
 
-@pytest.fixture
-def schur_calls(monkeypatch):
-    """Record the size of every Schur decomposition made via matkernel."""
-    calls = []
-    inner = matkernel.schur
-
-    def counting(a):
-        calls.append(np.shape(a)[0])
-        return inner(a)
-
-    monkeypatch.setattr(matkernel, "schur", counting)
-    return calls
-
-
 class TestSchurCount:
     # each matrix's stability is read off the Schur form its solver
-    # computes anyway; no separate stability Schur precedes the solve
+    # computes anyway; no separate stability Schur precedes the solve, and
+    # the adjoint's Schur form is a flip of A's
     def test_compute_gramians_factors_a_and_its_adjoint_once(self, schur_calls):
         m = models.random_stable_system(6, 2, 3, seed=5)
         gramian.compute_gramians(m)
-        assert schur_calls == [6, 6]
+        assert schur_calls == [6]
 
     def test_closed_loop_h2_stable_loop(self, schur_calls):
         m = models.random_stable_system(5, 5, 5, seed=91)
@@ -253,10 +240,17 @@ class TestSchurCount:
         schur_calls.clear()
         h2, stable = models.closed_loop_h2(cl)
         assert stable and np.isfinite(h2)
-        # two gramian solves plus the stability check of h2_norm_gramian
-        assert schur_calls == [10, 10, 10]
+        # one gramian pair plus the stability check of h2_norm_gramian
+        assert schur_calls == [10, 10]
 
     def test_closed_loop_h2_unstable_loop(self, schur_calls):
         cl = StateSpaceModel(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         assert models.closed_loop_h2(cl) == (np.inf, False)
         assert schur_calls == [2]
+
+    def test_gl_pipeline(self, schur_calls):
+        pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
+        assert pipe["stable"]
+        # two Riccati closed-loop checks, the controller check, the
+        # controller's gramian pair and the closed loop's pair plus H2 check
+        assert len(schur_calls) <= 6
