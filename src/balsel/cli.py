@@ -227,20 +227,20 @@ def _parse_complex_cfg(s):
 
 def gl_params_from_config(cfg):
     kwargs = {}
-    if "n" in cfg:
-        kwargs["n"] = int(cfg["n"])
     if "nu" in cfg:
         kwargs["nu"] = _parse_complex_cfg(cfg["nu"])
     if "beta_diff" in cfg:
         kwargs["beta_diff"] = _parse_complex_cfg(cfg["beta_diff"])
-    if "kernel_width" in cfg:
-        kwargs["kernel_width"] = float(cfg["kernel_width"])
-    if "mu_profile" in cfg:
-        parts = [float(v) for v in cfg["mu_profile"].split(",")]
-        if len(parts) != 3:
-            raise FormatError("mu_profile needs three coefficients")
-        kwargs["mu_profile"] = tuple(parts)
     try:
+        if "n" in cfg:
+            kwargs["n"] = int(cfg["n"])
+        if "kernel_width" in cfg:
+            kwargs["kernel_width"] = float(cfg["kernel_width"])
+        if "mu_profile" in cfg:
+            parts = [float(v) for v in cfg["mu_profile"].split(",")]
+            if len(parts) != 3:
+                raise FormatError("mu_profile needs three coefficients")
+            kwargs["mu_profile"] = tuple(parts)
         return models.GinzburgLandauParams(**kwargs)
     except (ValueError, BalselError) as exc:
         raise FormatError(str(exc)) from exc
@@ -280,17 +280,25 @@ def _freq_grid(args):
             raise FormatError("--freq-grid expects lo,hi,count")
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError("bad --freq-grid values") from exc
-        return statespace.log_grid(lo, hi, count)
+            if not (0.0 < lo <= hi < np.inf and count >= 1):
+                raise ValueError("out of range")
+            return statespace.log_grid(lo, hi, count)
+        except (ValueError, BalselError) as exc:
+            raise FormatError(
+                f"bad --freq-grid {args.freq_grid!r}: need 0 < lo < hi and count >= 1"
+            ) from exc
     return statespace.default_grid()
 
 
 def _cap(args):
-    cap = int(os.environ.get("BALSEL_CAP", evaluation.DEFAULT_CAP))
     if args.cap is not None:
-        cap = args.cap
-    return cap
+        return args.cap
+    try:
+        return int(os.environ.get("BALSEL_CAP", evaluation.DEFAULT_CAP))
+    except ValueError as exc:
+        raise FormatError(
+            f"BALSEL_CAP must be an integer, got {os.environ['BALSEL_CAP']!r}"
+        ) from exc
 
 
 def _ones_based(indices):
@@ -326,6 +334,7 @@ def cmd_select(args):
     r = args.rank or args.budget
     if not r:
         raise FormatError("--rank (or --budget) is required")
+    grid = _freq_grid(args) if args.metric == "h2" else None
     grams, bal, sel = _select_on_model(m, r, args.no_collocate)
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
     gram_actuator = m.b.conj().T @ grams.w_o @ m.b
@@ -340,7 +349,7 @@ def cmd_select(args):
     print(f"trace_sensor {_fmt(report.trace_sensor)}")
     if args.metric == "h2":
         print(f"h2_norm {_fmt(statespace.h2_norm_gramian(m, grams))}")
-        print(f"h2_norm_frequency {_fmt(statespace.h2_norm_frequency(m, _freq_grid(args)))}")
+        print(f"h2_norm_frequency {_fmt(statespace.h2_norm_frequency(m, grid))}")
     err_explicit = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
     err_sqrt_p = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel, form="sqrt_p")
     low_s = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, sel.gamma)
@@ -365,11 +374,10 @@ def cmd_bruteforce(args):
     budget = args.budget or args.rank
     if not budget:
         raise FormatError("--budget (or --rank) is required")
+    cap = _cap(args)
     grams, bal, sel = _select_on_model(m, budget, args.no_collocate)
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
-    best, values = evaluation.brute_force(
-        gram_sensor, budget, cap=_cap(args), metric=args.metric
-    )
+    best, values = evaluation.brute_force(gram_sensor, budget, cap=cap, metric=args.metric)
     if args.metric == "trace":
         qr_value = evaluation.trace_objective(sel.gamma, gram_sensor)
     else:
@@ -398,6 +406,8 @@ def cmd_bench_random(args):
         seeds = [int(s) for s in (args.seeds or "0").split(",")]
     except ValueError as exc:
         raise FormatError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
+    if args.ensemble_count < 1:
+        raise FormatError(f"--ensemble-count must be >= 1, got {args.ensemble_count}")
     # sweep before opening the file, so a failure leaves no partial CSV
     sweeps = zip(seeds, evaluation.rank_sweeps(m, ranks, seeds, count=args.ensemble_count))
     out = args.out or "bench_random.csv"
@@ -420,10 +430,14 @@ def _parse_rank_list(args):
     try:
         if "-" in spec:
             lo, hi = spec.split("-", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in spec.split(",")]
+            ranks = list(range(int(lo), int(hi) + 1))
+        else:
+            ranks = [int(v) for v in spec.split(",")]
     except ValueError as exc:
         raise FormatError(f"--ranks expects lo-hi or a comma list, got {spec!r}") from exc
+    if not ranks:
+        raise FormatError(f"--ranks range {spec!r} is empty")
+    return ranks
 
 
 def cmd_gl_demo(args):
@@ -435,6 +449,10 @@ def cmd_gl_demo(args):
             raise FormatError(f"cannot read {args.gl_params}: {exc}") from exc
     else:
         params = models.GinzburgLandauParams()
+    if args.freq_grid:
+        grid = _freq_grid(args)
+    else:
+        grid = statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0]), "log")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     max_r = args.rank or 5
@@ -466,10 +484,6 @@ def cmd_gl_demo(args):
             )
 
     if pipe is not None:
-        if args.freq_grid:
-            grid = _freq_grid(args)
-        else:
-            grid = statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0]), "log")
         gains, gs, bs = models.lqg_gain_grid(
             pipe["controller"], pipe["selection"].gamma, pipe["selection"].beta, grid, xi
         )

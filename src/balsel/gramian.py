@@ -2,12 +2,14 @@
 
 The matrix-equation solvers reduce to complex Schur form and solve the
 triangular equation (Bartels-Stewart), so one code path serves real and
-complex systems alike: LAPACK's ZTRSYL solves the continuous Lyapunov
-equation, and the Stein equation is swept column by column with ZTRTRS.
-`compute_gramians` factors A once per gramian pair and reads the Schur
-form of A* off it by a flip (see there).  The Riccati solver is Laub's
-ordered-Schur method on the Hamiltonian matrix with one Newton refinement
-step when the residual warrants it.
+complex systems alike.  One recursive blocked kernel, `_tri_solve`, solves
+both triangular equations: it halves the larger dimension until the blocks
+are small, so most of the work is matrix products, and solves the small
+blocks with LAPACK's ZTRSYL (continuous Lyapunov) or a column sweep with
+ZTRTRS (Stein).  `compute_gramians` factors A once per gramian pair and
+reads the Schur form of A* off it by a flip (see there).  The Riccati
+solver is Laub's ordered-Schur method on the Hamiltonian matrix with one
+Newton refinement step when the residual warrants it.
 """
 
 import warnings
@@ -37,6 +39,9 @@ __all__ = [
     "stein_residual",
     "care_residual",
 ]
+
+# Largest block the recursive triangular solver hands to a leaf solver.
+_LEAF = 128
 
 
 @dataclass
@@ -70,6 +75,69 @@ def _real_if_real_inputs(w, *inputs):
     return w.real.astype(np.complex128)
 
 
+def _sylvester_leaf(a, b, c):
+    """A X + X B* = C for small upper-triangular A, B (LAPACK ZTRSYL)."""
+    x, scale, info = lapack.ztrsyl(a, b, c, trana="N", tranb="C")
+    if info == 1:
+        raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
+    return x / scale
+
+
+def _stein_leaf(a, b, c):
+    """A X B* - X = C for small upper-triangular A, B, swept by columns.
+
+    Column k solves (A - I / conj(b_kk)) x_k = rhs_k / conj(b_kk) with
+    rhs_k = c_k - A X[:, k+1:] conj(b[k, k+1:]); the coefficient is one
+    copy of A whose diagonal is rewritten per column.  b_kk = 0 gives
+    x_k = -rhs_k.
+    """
+    m, n = c.shape
+    coef = np.array(a, order="F")
+    lam = np.diag(a).copy()
+    diag = np.arange(m)
+    x = np.empty((m, n), dtype=np.complex128, order="F")
+    for k in range(n - 1, -1, -1):
+        rhs = c[:, k] - a @ (x[:, k + 1 :] @ b[k, k + 1 :].conj())
+        bkk = np.conj(b[k, k])
+        if bkk == 0.0:
+            x[:, k] = -rhs
+            continue
+        coef[diag, diag] = lam - 1.0 / bkk
+        xk, info = lapack.ztrtrs(coef, rhs / bkk)
+        if info > 0:
+            raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
+        x[:, k] = xk
+    return x
+
+
+def _tri_solve(a, b, c, discrete):
+    """Solve A X + X B* = C, or A X B* - X = C if `discrete`.
+
+    A and B are upper triangular.  Recursive blocking (Jonsson & Kagstrom,
+    ACM TOMS 28(4), 2002): the larger dimension is halved, the trailing
+    block is solved first and the leading right-hand side is updated by a
+    matrix product, so most of the flops run as GEMMs.  Blocks of at most
+    _LEAF x _LEAF go to ZTRSYL or to the column sweep.
+    """
+    m, n = c.shape
+    if max(m, n) <= _LEAF:
+        return _stein_leaf(a, b, c) if discrete else _sylvester_leaf(a, b, c)
+    x = np.empty((m, n), dtype=np.complex128)
+    if m >= n:
+        h = m // 2
+        x[h:] = _tri_solve(a[h:, h:], b, c[h:], discrete)
+        upd = a[:h, h:] @ x[h:]
+        if discrete:
+            upd = upd @ b.conj().T
+        x[:h] = _tri_solve(a[:h, :h], b, c[:h] - upd, discrete)
+    else:
+        h = n // 2
+        x[:, h:] = _tri_solve(a, b[h:, h:], c[:, h:], discrete)
+        upd = a @ x[:, h:] if discrete else x[:, h:]
+        x[:, :h] = _tri_solve(a, b[:h, :h], c[:, :h] - upd @ b[:h, h:].conj().T, discrete)
+    return x
+
+
 def _lyapunov_from_schur(u, t, m):
     """Solve A W + W A* + M = 0 given the Schur form A = U T U*."""
     lam = np.diag(t)
@@ -82,16 +150,12 @@ def _lyapunov_from_schur(u, t, m):
     pairs = lam[:, None] + lam.conj()[None, :]
     if np.min(np.abs(pairs)) <= 1e-12 * max(np.abs(lam).max(), 1.0):
         raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
-    # T X + X T* = -U* M U, solved by LAPACK's triangular Sylvester solver
-    x, scale, info = lapack.ztrsyl(t, t, -(u.conj().T @ m @ u), trana="N", tranb="C")
-    if info == 1:
-        raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
-    return _hermitize(u @ (x / scale) @ u.conj().T)
+    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete=False)
+    return _hermitize(u @ x @ u.conj().T)
 
 
 def _stein_from_schur(u, t, m):
     """Solve A W A* - W + M = 0 given the Schur form A = U T U*."""
-    n = t.shape[0]
     lam = np.diag(t)
     radius = np.max(np.abs(lam))
     if radius >= 1.0:
@@ -102,23 +166,7 @@ def _stein_from_schur(u, t, m):
     prods = lam[:, None] * lam.conj()[None, :]
     if np.min(np.abs(1.0 - prods)) <= 1e-12:
         raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
-    # T X T* - X = -U* M U, swept from the last column: column k solves
-    # (conj(t_kk) T - I) x_k = -mt_k - (T X)[:, k+1:] conj(t[k, k+1:])
-    mt = u.conj().T @ m @ u
-    t = np.asfortranarray(t)
-    x = np.empty((n, n), dtype=np.complex128, order="F")
-    tx = np.empty((n, n), dtype=np.complex128, order="F")
-    coef = np.empty((n, n), dtype=np.complex128, order="F")
-    diag = np.arange(n)
-    for k in range(n - 1, -1, -1):
-        rhs = -mt[:, k]
-        if k + 1 < n:
-            rhs -= tx[:, k + 1 :] @ t[k, k + 1 :].conj()
-        np.multiply(t, np.conj(t[k, k]), out=coef)
-        coef[diag, diag] -= 1.0
-        xk, _ = lapack.ztrtrs(coef, rhs[:, None])
-        x[:, k] = xk[:, 0]
-        tx[:, k] = t @ x[:, k]
+    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete=True)
     return _hermitize(u @ x @ u.conj().T)
 
 

@@ -2,9 +2,11 @@
 
 All routines treat real matrices as complex with zero imaginary part, so a
 single code path covers both fields and the adjoint is always the conjugate
-transpose.  The column-pivoted QR is implemented from scratch because the
-pivot sequence itself is the product the rest of the package consumes; SVD
-and Schur are thin wrappers around LAPACK with the conventions used here.
+transpose; `svd` and `schur` factor a matrix with no imaginary part in real
+arithmetic and return the same complex factors.  The column-pivoted QR is
+implemented from scratch because the pivot sequence itself is the product
+the rest of the package consumes; SVD and Schur are thin wrappers around
+LAPACK with the conventions used here.
 """
 
 from dataclasses import dataclass, field
@@ -207,17 +209,28 @@ def svd(a):
     Returns (u, s, v) with `v` (not its adjoint), s non-increasing.
     """
     a = as_complex(a)
+    if not np.any(a.imag):
+        u, s, vh = np.linalg.svd(a.real, full_matrices=True)
+        return u.astype(np.complex128), s, vh.T.astype(np.complex128)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     return u, s, vh.conj().T
 
 
 def schur(a):
-    """Complex Schur decomposition a = u @ t @ u* with t upper triangular."""
+    """Complex Schur decomposition a = u @ t @ u* with t upper triangular.
+
+    A matrix with no imaginary part is reduced to real Schur form and its
+    2x2 blocks are then split by `rsf2csf`, which is cheaper than the QR
+    iteration in complex arithmetic.
+    """
     a = as_complex(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("schur requires a square matrix")
     try:
-        t, u = sla.schur(a, output="complex")
+        if np.any(a.imag):
+            t, u = sla.schur(a, output="complex")
+        else:
+            t, u = sla.rsf2csf(*sla.schur(a.real, output="real"))
     except sla.LinAlgError as exc:  # QR iteration failed to converge
         raise NumericError(f"schur iteration did not converge: {exc}") from exc
     return u, t

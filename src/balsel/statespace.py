@@ -150,6 +150,11 @@ def h2_norm_gramian(m, w, rel_tol=1e-8):
     """
     if not is_stable(m):
         raise UnstableSystemError("H2 norm undefined for unstable systems")
+    return _h2_from_gramians(m, w, rel_tol)
+
+
+def _h2_from_gramians(m, w, rel_tol):
+    """The trace formulas of `h2_norm_gramian` for a model known to be stable."""
     from_c = np.trace(m.c @ w.w_c @ m.c.conj().T).real
     from_b = np.trace(m.b.conj().T @ w.w_o @ m.b).real
     scale = max(abs(from_c), abs(from_b), 1e-300)

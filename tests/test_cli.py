@@ -169,6 +169,46 @@ class TestModelInputErrors:
         assert err.startswith("parse error:") and "non-finite" in err
 
 
+class TestBadOptionValues:
+    # malformed option, environment or config values end in FormatError
+    # (exit 3) before anything is written
+    @pytest.mark.parametrize(
+        "argv, env, cfg",
+        [
+            (["gl-demo", "--rank", "1"], {}, "n = abc\n"),
+            (["gl-demo", "--rank", "1"], {}, "kernel_width = x\n"),
+            (["gl-demo", "--rank", "1"], {}, "mu_profile = 1,a,2\n"),
+            (["gl-demo", "--rank", "1", "--freq-grid", "1,0.1,5"], {}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"], {"BALSEL_CAP": "abc"}, None),
+            (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
+              "--freq-grid", "1,0.1,5"], {}, None),
+            (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
+              "--freq-grid=-1,10,5"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--rank", "2",
+              "--ensemble-count", "-1"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--rank", "2",
+              "--ensemble-count", "0"], {}, None),
+        ],
+        ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-freq-grid", "cap-env",
+             "select-freq-grid", "select-freq-grid-negative", "ensemble-count-neg",
+             "ensemble-count-zero"],
+    )
+    def test_exit_3_without_output(self, tmp_path, capsys, monkeypatch, argv, env, cfg):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "out"
+        argv = argv + ["--out", str(out)]
+        if cfg is not None:
+            cfgfile = tmp_path / "gl.cfg"
+            cfgfile.write_text(cfg)
+            argv += ["--gl-params", str(cfgfile)]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
 class TestGramiansCommand:
     def test_scalar_file(self, tmp_path, capsys):
         path = write_scalar_model(tmp_path / "m.txt")
@@ -291,7 +331,8 @@ class TestBenchRandomCommand:
 
 
     @pytest.mark.parametrize(
-        "option, value", [("--ranks", "a-b"), ("--ranks", "1,x"), ("--seeds", "0,x")]
+        "option, value",
+        [("--ranks", "a-b"), ("--ranks", "1,x"), ("--ranks", "5-2"), ("--seeds", "0,x")],
     )
     def test_bad_rank_or_seed_list_exit_3(self, tmp_path, capsys, option, value):
         out = tmp_path / "r.csv"

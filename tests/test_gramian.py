@@ -149,6 +149,86 @@ class TestAdjointFlip:
             gramian.compute_gramians(m)
 
 
+def _kron_tri_solve(a, b, c, discrete):
+    """Dense solve of vec(X) for A X + X B* = C or A X B* - X = C."""
+    m, n = c.shape
+    if discrete:
+        k = np.kron(b.conj(), a) - np.eye(m * n)
+    else:
+        k = np.kron(np.eye(n), a) + np.kron(b.conj(), np.eye(m))
+    x = np.linalg.solve(k, c.reshape(-1, order="F"))
+    return x.reshape((m, n), order="F")
+
+
+def _stable_triangular(rng, n, field, discrete):
+    t = np.triu(rng.standard_normal((n, n)))
+    if field == "complex":
+        t = t + 1j * np.triu(rng.standard_normal((n, n)))
+    t = t.astype(complex)
+    lam = np.diag(t)
+    if discrete:
+        t[np.diag_indices(n)] = 0.9 * lam / np.abs(lam).max()
+    else:
+        t[np.diag_indices(n)] = -(np.abs(lam.real) + 0.1) + 1j * lam.imag
+    return t
+
+
+class TestTriSolve:
+    # the recursive kernel against a dense Kronecker solve; the leaf size
+    # is shrunk so that every shape below crosses the leaf boundary in the
+    # way its name says while the Kronecker system stays small
+    LEAF = 6
+
+    @pytest.fixture(autouse=True)
+    def small_leaf(self, monkeypatch):
+        monkeypatch.setattr(gramian, "_LEAF", self.LEAF)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(1, 1), (1, 13), (LEAF - 1, LEAF - 1), (LEAF, LEAF), (LEAF + 1, LEAF + 1),
+         (2 * LEAF + 3, LEAF - 5), (LEAF - 5, 2 * LEAF + 3)],
+    )
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+    def test_matches_kronecker_solve(self, m, n, field, discrete):
+        rng = np.random.default_rng(m * 100 + n)
+        a = _stable_triangular(rng, m, field, discrete)
+        b = _stable_triangular(rng, n, field, discrete)
+        c = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if field == "complex" else 0)
+        x = gramian._tri_solve(a, b, c.astype(complex), discrete)
+        ref = _kron_tri_solve(a, b, c, discrete)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [LEAF, 2 * LEAF + 3])
+    def test_strictly_upper_triangular_stein(self, n):
+        # zero diagonal: every column of the sweep takes the b_kk = 0 branch
+        rng = np.random.default_rng(n)
+        t = np.triu(rng.standard_normal((n, n)), 1).astype(complex)
+        c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x = gramian._tri_solve(t, t, c, discrete=True)
+        ref = _kron_tri_solve(t, t, c, discrete=True)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestSolversPastTheLeaf:
+    # n = 300 is past twice the leaf size, so the recursion splits before
+    # it reaches the leaf solvers
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+    def test_residual(self, field, domain):
+        n = 300
+        assert n > 2 * gramian._LEAF
+        a = _non_normal_a(n, field, domain, seed=23)
+        g = np.random.default_rng(24).standard_normal((n, 4))
+        rhs = (g @ g.T + np.eye(n)).astype(complex)
+        if domain == statespace.CONTINUOUS:
+            w = gramian.solve_lyapunov_continuous(a, rhs)
+            assert gramian.lyapunov_residual(a, w, rhs) <= 1e-9
+        else:
+            w = gramian.solve_stein(a, rhs)
+            assert gramian.stein_residual(a, w, rhs) <= 1e-9
+
+
 class TestEmpiricalGramians:
     def test_scalar_value_with_marginal_horizon_warning(self):
         m = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])

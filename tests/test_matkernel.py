@@ -180,6 +180,20 @@ class TestSVD:
         lam = np.sort(np.linalg.eigvalsh(a.conj().T @ a))[::-1]
         np.testing.assert_allclose(s**2, lam, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (6, 6)])
+    def test_real_input_reconstructs(self, shape):
+        # a real matrix is factored in real arithmetic; the factors are
+        # still returned complex, with the same contract
+        a = np.random.default_rng(10).standard_normal(shape)
+        u, s, v = matkernel.svd(a)
+        assert u.dtype == v.dtype == np.complex128
+        sig = np.zeros(shape)
+        k = min(shape)
+        sig[:k, :k] = np.diag(s)
+        assert np.linalg.norm(a - u @ sig @ v.conj().T) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(shape[0])) <= 1e-13
+        assert np.linalg.norm(v.conj().T @ v - np.eye(shape[1])) <= 1e-13
+
 
 class TestSchur:
     def test_diagonal(self):
@@ -198,6 +212,35 @@ class TestSchur:
         u, t = matkernel.schur(a)
         assert np.linalg.norm(a @ u - u @ t) <= 1e-9 * np.linalg.norm(a)
         assert np.linalg.norm(np.tril(t, -1)) <= 1e-12 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1),
+            np.random.default_rng(11).standard_normal((40, 40)),
+        ],
+        ids=["rotation", "jordan", "random"],
+    )
+    def test_real_input(self, a):
+        # real Schur form split into 1x1 blocks by rsf2csf: the triangular
+        # factor must be exactly upper triangular, as for complex input
+        u, t = matkernel.schur(a)
+        assert u.dtype == t.dtype == np.complex128
+        assert not np.any(np.tril(t, -1))
+        n = a.shape[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(u @ t @ u.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+
+    def test_random_real_input_has_conjugate_pairs(self):
+        a = np.random.default_rng(11).standard_normal((40, 40))
+        lam = np.diag(matkernel.schur(a)[1])
+        assert np.sum(np.abs(lam.imag) > 1e-8) >= 2
+        # every eigenvalue (both members of each pair) is on the diagonal
+        ref = np.linalg.eigvals(a)
+        gap = np.abs(lam[:, None] - ref[None, :])
+        assert gap.min(axis=0).max() <= 1e-10 * np.abs(ref).max()
+        assert gap.min(axis=1).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestLogdetAbs:
