@@ -179,7 +179,8 @@ class TestBadOptionValues:
             (["gl-demo", "--rank", "1"], {}, "kernel_width = x\n"),
             (["gl-demo", "--rank", "1"], {}, "mu_profile = 1,a,2\n"),
             (["gl-demo", "--rank", "1", "--freq-grid", "1,0.1,5"], {}, None),
-            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"], {"BALSEL_CAP": "abc"}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"],
+             {"BALSEL_CAP": "abc"}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
               "--freq-grid", "1,0.1,5"], {}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",

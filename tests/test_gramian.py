@@ -177,7 +177,7 @@ class TestTriSolve:
     # the recursive kernel against a dense Kronecker solve; the leaf size
     # is shrunk so that every shape below crosses the leaf boundary in the
     # way its name says while the Kronecker system stays small
-    LEAF = 6
+    LEAF = 8
 
     @pytest.fixture(autouse=True)
     def small_leaf(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestTriSolve:
 
     @pytest.mark.parametrize(
         "m, n",
-        [(1, 1), (1, 13), (LEAF - 1, LEAF - 1), (LEAF, LEAF), (LEAF + 1, LEAF + 1),
+        [(1, 1), (1, 2 * LEAF + 3), (LEAF - 1, LEAF - 1), (LEAF, LEAF), (LEAF + 1, LEAF + 1),
          (2 * LEAF + 3, LEAF - 5), (LEAF - 5, 2 * LEAF + 3)],
     )
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -194,8 +194,10 @@ class TestTriSolve:
         rng = np.random.default_rng(m * 100 + n)
         a = _stable_triangular(rng, m, field, discrete)
         b = _stable_triangular(rng, n, field, discrete)
-        c = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if field == "complex" else 0)
-        x = gramian._tri_solve(a, b, c.astype(complex), discrete)
+        c = rng.standard_normal((m, n)).astype(complex)
+        if field == "complex":
+            c += 1j * rng.standard_normal((m, n))
+        x = gramian._tri_solve(a, b, c, discrete)
         ref = _kron_tri_solve(a, b, c, discrete)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -204,7 +206,7 @@ class TestTriSolve:
         # zero diagonal: every column of the sweep takes the b_kk = 0 branch
         rng = np.random.default_rng(n)
         t = np.triu(rng.standard_normal((n, n)), 1).astype(complex)
-        c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x = gramian._tri_solve(t, t, c, discrete=True)
         ref = _kron_tri_solve(t, t, c, discrete=True)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
