@@ -2,39 +2,24 @@
 
 With the balanced modes precomputed, selecting r locations out of n costs
 one pivoted QR of an r x n matrix: O(n r^2) work.  The script times the
-pivoting across state dimensions and ranks and fits the exponents.
+pivoting across state dimensions and ranks and fits the exponents, with
+the same window timer as the A9 acceptance gate and `balsel scaling`.
 """
-
-import time
 
 import numpy as np
 
-from balsel import pivoted_qr
-
-
-def best_time(n, r, reps=15):
-    rng = np.random.default_rng(0)
-    modes = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    v = modes.conj().T.copy()
-    pivoted_qr(v, max_pivots=r)  # warmup
-    best = np.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        pivoted_qr(v, max_pivots=r)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
+from balsel import matkernel
 
 print("state-dimension sweep at fixed r = 10")
 ns = [1000, 2000, 4000, 8000]
-t_n = [best_time(n, 10) for n in ns]
+t_n = matkernel._pivoting_times([(n, 10) for n in ns])
 for n, t in zip(ns, t_n):
     print(f"  n = {n:>5}: {1e3 * t:8.3f} ms")
 print(f"fitted exponent: {np.polyfit(np.log(ns), np.log(t_n), 1)[0]:.2f} (~1 expected)")
 
 print("\nrank sweep at fixed n = 4000")
 rs = [5, 10, 20, 40]
-t_r = [best_time(4000, r) for r in rs]
+t_r = matkernel._pivoting_times([(4000, r) for r in rs])
 for r, t in zip(rs, t_r):
     print(f"  r = {r:>3}: {1e3 * t:8.3f} ms")
 print(f"fitted exponent: {np.polyfit(np.log(rs), np.log(t_r), 1)[0]:.2f} (~2 expected)")

@@ -20,7 +20,6 @@ Indices printed by commands are 1-based; exit codes are 0 (ok),
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -348,8 +347,9 @@ def cmd_select(args):
     print(f"logdet_actuator {_fmt(report.logdet_actuator)}")
     print(f"trace_sensor {_fmt(report.trace_sensor)}")
     if args.metric == "h2":
-        print(f"h2_norm {_fmt(statespace.h2_norm_gramian(m, grams))}")
-        print(f"h2_norm_frequency {_fmt(statespace.h2_norm_frequency(m, grid))}")
+        # compute_gramians has proved stability: no second Schur form
+        print(f"h2_norm {_fmt(statespace._h2_from_gramians(m, grams, 1e-8))}")
+        print(f"h2_norm_frequency {_fmt(statespace._h2_from_frequency(m, grid))}")
     err_explicit = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
     err_sqrt_p = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel, form="sqrt_p")
     low_s = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, sel.gamma)
@@ -498,36 +498,22 @@ def cmd_gl_demo(args):
     return EXIT_OK
 
 
-def _time_pivoting(n, r, repeats, rng):
-    modes = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        matkernel.pivoted_qr(modes.conj().T, max_pivots=r)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def cmd_scaling(args):
-    rng = np.random.default_rng(args.seed_value)
     r_fixed = args.rank or 10
     out = args.out or "scaling.csv"
-    repeats = 5
-    rows = []
-    for n in (1000, 2000, 4000, 8000):
-        rows.append(("n", n, r_fixed, _time_pivoting(n, r_fixed, repeats, rng)))
+    ns = (1000, 2000, 4000, 8000)
+    rs = (5, 10, 20, 40)
     n_fixed = 4000
-    for r in (5, 10, 20, 40):
-        rows.append(("r", n_fixed, r, _time_pivoting(n_fixed, r, repeats, rng)))
+    t_n = matkernel._pivoting_times([(n, r_fixed) for n in ns], seed=args.seed_value)
+    t_r = matkernel._pivoting_times([(n_fixed, r) for r in rs], seed=args.seed_value)
+    rows = [("n", n, r_fixed, t) for n, t in zip(ns, t_n)]
+    rows += [("r", n_fixed, r, t) for r, t in zip(rs, t_r)]
     with open(out, "w") as fh:
         fh.write("sweep,n,r,seconds\n")
         for sweep, n, r, sec in rows:
             fh.write(f"{sweep},{n},{r},{_fmt(sec)}\n")
-    for sweep in ("n", "r"):
-        sel_rows = [row for row in rows if row[0] == sweep]
-        xs = np.log([row[1] if sweep == "n" else row[2] for row in sel_rows])
-        ys = np.log([row[3] for row in sel_rows])
-        slope = np.polyfit(xs, ys, 1)[0]
+    for sweep, xs, ts in (("n", ns, t_n), ("r", rs, t_r)):
+        slope = np.polyfit(np.log(xs), np.log(ts), 1)[0]
         print(f"{sweep}-sweep fitted exponent {slope:.3f}")
     print(f"wrote {out}")
     return EXIT_OK

@@ -9,6 +9,8 @@ the rest of the package consumes; SVD and Schur are thin wrappers around
 LAPACK with the conventions used here.
 """
 
+import gc
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +177,40 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
         r_diagonal=rdiag[:nd],
         n_steps=int(nd),
     )
+
+
+def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):
+    """Per-call `pivoted_qr` seconds for (n, r) cases on random r x n inputs.
+
+    Each measurement times a batch of calls spanning ~window_seconds so
+    millisecond scheduling spikes amortize; the minimum over several
+    windows (taken round-robin, with the collector paused) is robust
+    against load on shared machines.
+    """
+    rng = np.random.default_rng(seed)
+    inputs = [
+        rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        for n, r in cases
+    ]
+    batch = []
+    for (n, r), v in zip(cases, inputs):
+        t0 = time.perf_counter()
+        pivoted_qr(v, max_pivots=r)  # warmup + calibration
+        est = max(time.perf_counter() - t0, 1e-6)
+        batch.append(max(1, int(np.ceil(window_seconds / est))))
+    best = [np.inf] * len(cases)
+    gc.disable()
+    try:
+        for _ in range(windows):
+            for i, ((n, r), v) in enumerate(zip(cases, inputs)):
+                t0 = time.perf_counter()
+                for _ in range(batch[i]):
+                    pivoted_qr(v, max_pivots=r)
+                dt = (time.perf_counter() - t0) / batch[i]
+                best[i] = min(best[i], dt)
+    finally:
+        gc.enable()
+    return best
 
 
 def _reflect_column(r, q, k):

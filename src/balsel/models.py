@@ -343,8 +343,9 @@ def gl_pipeline(params=None, r=5, no_collocate=False, swap_noise=False):
     """Full Ginzburg-Landau selection pipeline at truncation rank r.
 
     Synthesizes the full LQG controller, balances it, QR-selects r sensors
-    (columns of L, via the adjoint modes) and r actuators (rows of F, via
-    the direct modes), and assembles the restricted closed loop.  With
+    and r actuators on the controller's adjoint (its output matrix L*
+    samples the plant's sensors, its input matrix -F* the plant's
+    actuators), and assembles the restricted closed loop.  With
     no_collocate the actuators are chosen first and sensors may not reuse
     their grid locations.  swap_noise exchanges the process/measurement
     covariance defaults (I and 4e-8 I).
@@ -362,33 +363,11 @@ def gl_pipeline(params=None, r=5, no_collocate=False, swap_noise=False):
     grams = gramian.compute_gramians(controller.controller_model)
     bal = balancing.balance(grams, r)
 
-    # Controller outputs (rows of -F) are the plant's actuator channels and
-    # controller inputs (columns of L) its sensor channels, so the roles of
-    # the generic sensor/actuator selectors are exchanged here.
-    if no_collocate:
-        sel_dual = selection.select_noncollocated(
-            controller.l_gain.conj().T,
-            (-controller.f_gain).conj().T,
-            bal.phi_r,
-            bal.psi_r,
-        )
-        sel = selection.SelectionResult(
-            gamma=sel_dual.gamma,
-            beta=sel_dual.beta,
-            r_diag_sensors=sel_dual.r_diag_sensors,
-            r_diag_actuators=sel_dual.r_diag_actuators,
-            collocation_forbidden=True,
-        )
-    else:
-        beta, rd_a = selection.select_sensors(-controller.f_gain, bal.psi_r)
-        gamma, rd_s = selection.select_actuators(controller.l_gain, bal.phi_r)
-        sel = selection.SelectionResult(
-            gamma=gamma,
-            beta=beta,
-            r_diag_sensors=rd_s,
-            r_diag_actuators=rd_a,
-            collocation_forbidden=False,
-        )
+    # The plant's sensors are the controller's inputs (columns of L) and its
+    # actuators the controller's outputs (rows of -F), so they are the
+    # sensors and actuators of the controller's adjoint (A_K*, -F*, L*).
+    adj = statespace.adjoint_model(controller.controller_model)
+    sel = selection.select_subsets(adj.c, adj.b, bal.phi_r, bal.psi_r, no_collocate=no_collocate)
 
     cl = closed_loop_assemble(a, b2, c2, controller, np.sort(sel.gamma), np.sort(sel.beta))
     h2, stable = closed_loop_h2(cl)

@@ -67,10 +67,34 @@ class ProjectionOperator:
         return float(np.linalg.cond(self.sampled_rows))
 
 
-def _check_rank(mat, r, what):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size < r or sv[r - 1] <= 1e-12 * max(sv[0], 1e-300):
-        raise RankError(f"{what} has numerical rank below {r}")
+def _smin(mat, what, rtol=0.0):
+    """Smallest singular value of `mat`; RankError when it is at most
+    `rtol` times the largest (exactly zero by default)."""
+    # same values; LAPACK's SVD is several times cheaper on the tall side
+    tall = mat.T if mat.shape[0] < mat.shape[1] else mat
+    sv = np.linalg.svd(tall, compute_uv=False)
+    if sv[-1] <= rtol * max(sv[0], 1e-300):
+        raise RankError(f"numerically rank-deficient {what}")
+    return sv[-1]
+
+
+def _pivots(v, r, what, forbidden=()):
+    """First r pivots and |R_kk| of the pivoted QR of the sampled modes `v`.
+
+    `v` is r x (candidates): (C Psi_r)* for sensors, Phi_r* B for
+    actuators.  Columns in `forbidden` are never chosen.
+    """
+    p = v.shape[1]
+    if p < r:
+        raise DimensionError(f"need at least r={r} candidate {what}, have {p}")
+    _smin(v, f"sampled modes of the {what}", rtol=1e-12)
+    fac = matkernel.pivoted_qr(v, forbidden, max_pivots=r)
+    if fac.n_steps < r:
+        raise FeasibilityError(
+            f"only {fac.n_steps} {what} candidates remain after excluding "
+            f"{len(forbidden)} collocated ones; need {r}"
+        )
+    return fac.pivot_order[:r].copy(), fac.r_diagonal[:r].copy()
 
 
 def select_sensors(c, psi_r):
@@ -78,30 +102,18 @@ def select_sensors(c, psi_r):
 
     Returns (gamma, r_diag) with gamma in pivot order.
     """
-    c = matkernel.as_complex(c)
-    psi_r = matkernel.as_complex(psi_r)
-    p = c.shape[0]
-    r = psi_r.shape[1]
-    if p < r:
-        raise DimensionError(f"need at least r={r} candidate sensors, have {p}")
-    cp = c @ psi_r
-    _check_rank(cp, r, "C Psi_r")
-    fac = matkernel.pivoted_qr(cp.conj().T, max_pivots=r)
-    return fac.pivot_order[:r].copy(), fac.r_diagonal[:r].copy()
+    cp = matkernel.as_complex(c) @ matkernel.as_complex(psi_r)
+    return _pivots(cp.conj().T, cp.shape[1], "sensors")
 
 
 def select_actuators(b, phi_r):
-    """Greedy actuator columns: first r pivots of the pivoted QR of Phi_r* B."""
-    b = matkernel.as_complex(b)
-    phi_r = matkernel.as_complex(phi_r)
-    q = b.shape[1]
-    r = phi_r.shape[1]
-    if q < r:
-        raise DimensionError(f"need at least r={r} candidate actuators, have {q}")
-    pb = phi_r.conj().T @ b
-    _check_rank(pb, r, "Phi_r* B")
-    fac = matkernel.pivoted_qr(pb, max_pivots=r)
-    return fac.pivot_order[:r].copy(), fac.r_diagonal[:r].copy()
+    """Greedy actuator columns: first r pivots of the pivoted QR of Phi_r* B.
+
+    The dual of `select_sensors`: the same pivoting on the adjoint's
+    sampled modes.
+    """
+    pb = matkernel.as_complex(phi_r).conj().T @ matkernel.as_complex(b)
+    return _pivots(pb, pb.shape[0], "actuators")
 
 
 def select_noncollocated(
@@ -115,45 +127,17 @@ def select_noncollocated(
     actuator are skipped by the pivoting but still orthogonalized, so the
     sensor factorization stays valid.
     """
-    c = matkernel.as_complex(c)
-    b = matkernel.as_complex(b)
-    psi_r = matkernel.as_complex(psi_r)
-    phi_r = matkernel.as_complex(phi_r)
-    r = psi_r.shape[1]
-    p = c.shape[0]
-    if sensor_locations is None:
-        sensor_locations = np.arange(p)
-    if actuator_locations is None:
-        actuator_locations = np.arange(b.shape[1])
-    sensor_locations = np.asarray(sensor_locations)
-    actuator_locations = np.asarray(actuator_locations)
-
+    cp = matkernel.as_complex(c) @ matkernel.as_complex(psi_r)
     beta, r_diag_b = select_actuators(b, phi_r)
-    taken = set(actuator_locations[beta].tolist())
-    forbidden = [j for j in range(p) if sensor_locations[j] in taken]
-    if p - len(forbidden) < r:
-        raise FeasibilityError(
-            f"only {p - len(forbidden)} sensor candidates remain after "
-            f"excluding {len(forbidden)} collocated ones; need {r}"
-        )
-
-    cp = c @ psi_r
-    _check_rank(cp, r, "C Psi_r")
-    fac = matkernel.pivoted_qr(cp.conj().T, forbidden=forbidden, max_pivots=r)
-    if fac.n_steps < r:
-        raise FeasibilityError("exclusion left fewer than r usable sensor pivots")
-    gamma = fac.pivot_order[:r].copy()
-    if sensor_locations[gamma].size and np.intersect1d(
-        sensor_locations[gamma], actuator_locations[beta]
-    ).size:
+    if sensor_locations is None:
+        sensor_locations = np.arange(cp.shape[0])
+    sensor_locations = np.asarray(sensor_locations)
+    taken = beta if actuator_locations is None else np.asarray(actuator_locations)[beta]
+    forbidden = np.flatnonzero(np.isin(sensor_locations, taken))
+    gamma, r_diag_s = _pivots(cp.conj().T, cp.shape[1], "sensors", forbidden)
+    if np.isin(sensor_locations[gamma], taken).any():
         raise FeasibilityError("collocation exclusion failed")  # defensive
-    return SelectionResult(
-        gamma=gamma,
-        beta=beta,
-        r_diag_sensors=fac.r_diagonal[:r].copy(),
-        r_diag_actuators=r_diag_b,
-        collocation_forbidden=True,
-    )
+    return SelectionResult(gamma, beta, r_diag_s, r_diag_b, collocation_forbidden=True)
 
 
 def select_subsets(c, b, psi_r, phi_r, no_collocate=False, **location_maps):
@@ -162,39 +146,25 @@ def select_subsets(c, b, psi_r, phi_r, no_collocate=False, **location_maps):
         return select_noncollocated(c, b, psi_r, phi_r, **location_maps)
     gamma, rd_s = select_sensors(c, psi_r)
     beta, rd_a = select_actuators(b, phi_r)
-    return SelectionResult(
-        gamma=gamma,
-        beta=beta,
-        r_diag_sensors=rd_s,
-        r_diag_actuators=rd_a,
-        collocation_forbidden=False,
+    return SelectionResult(gamma, beta, rd_s, rd_a)
+
+
+def _projection(basis, sampler, side_tag):
+    basis = matkernel.as_complex(basis)
+    return ProjectionOperator(
+        basis=basis, sampler=sampler, sampled_rows=sampler @ basis, side_tag=side_tag
     )
 
 
 def sensor_projection(c, psi_r, gamma):
     """Interpolation projector Psi_r (C_hat Psi_r)^{-1} C_hat onto span(Psi_r)."""
-    c = matkernel.as_complex(c)
-    psi_r = matkernel.as_complex(psi_r)
-    sampler = c[np.asarray(gamma), :]
-    return ProjectionOperator(
-        basis=psi_r,
-        sampler=sampler,
-        sampled_rows=sampler @ psi_r,
-        side_tag="sensor",
-    )
+    return _projection(psi_r, matkernel.as_complex(c)[np.asarray(gamma), :], "sensor")
 
 
 def actuator_projection(b, phi_r, beta):
     """Dual projector Phi_r (B_hat* Phi_r)^{-1} B_hat* onto span(Phi_r)."""
-    b = matkernel.as_complex(b)
-    phi_r = matkernel.as_complex(phi_r)
-    sampler = b[:, np.asarray(beta)].conj().T
-    return ProjectionOperator(
-        basis=phi_r,
-        sampler=sampler,
-        sampled_rows=sampler @ phi_r,
-        side_tag="actuator",
-    )
+    sampler = matkernel.as_complex(b)[:, np.asarray(beta)].conj().T
+    return _projection(phi_r, sampler, "actuator")
 
 
 def project_state(op, x):
@@ -216,10 +186,7 @@ def pivot_inverse_norm_bound(u_matrix):
     """Upper bound on ||(S U)^{-1}||_2 over QR-pivot row selections S of U."""
     u_matrix = matkernel.as_complex(u_matrix)
     p, r = u_matrix.shape
-    smin = np.linalg.svd(u_matrix, compute_uv=False)[-1]
-    if smin == 0.0:
-        raise RankError("bound undefined for rank-deficient input")
-    return float(_growth_factor(p, r) / smin)
+    return float(_growth_factor(p, r) / _smin(u_matrix, "the input"))
 
 
 def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
@@ -234,10 +201,7 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
     r = psi_r.shape[1]
     hankel = np.asarray(hankel, dtype=float)
     tail = 2.0 * np.sum(hankel[r:])
-    sv = np.linalg.svd(c @ psi_r, compute_uv=False)
-    smin = sv[-1]
-    if smin == 0.0:
-        raise RankError("bound undefined for rank-deficient C Psi_r")
+    smin = _smin(c @ psi_r, "C Psi_r")
     norm_c = np.linalg.norm(c, 2)
     norm_psi = np.linalg.norm(psi_r, 2)
     if form == "explicit":
@@ -255,17 +219,6 @@ def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
     return sensor_state_error_bound(b.conj().T, phi_r, hankel, form=form)
 
 
-def _logdet_lower_bound(u_matrix, hankel, n_candidates):
-    u_matrix = matkernel.as_complex(u_matrix)
-    r = u_matrix.shape[1]
-    hankel = np.asarray(hankel, dtype=float)
-    smin = np.linalg.svd(u_matrix, compute_uv=False)[-1]
-    if smin == 0.0:
-        raise RankError("bound undefined for rank-deficient input")
-    const = 9.0 * smin**2 / ((n_candidates - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
-    return float(r * np.log(const) + np.sum(np.log(hankel[:r])))
-
-
 def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
     """Guaranteed lower bound on the rank-r log-det sensor objective.
 
@@ -276,7 +229,11 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
     """
     c = matkernel.as_complex(c)
     psi_r = matkernel.as_complex(psi_r)
-    bound = _logdet_lower_bound(c @ psi_r, hankel, c.shape[0])
+    p = c.shape[0]
+    r = psi_r.shape[1]
+    smin = _smin(c @ psi_r, "C Psi_r")
+    const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
+    bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
     if gamma is not None and check:
         achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma, side="sensor")
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
@@ -289,30 +246,22 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
 def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
     """Dual guaranteed lower bound for the actuator log-det objective."""
     b = matkernel.as_complex(b)
-    phi_r = matkernel.as_complex(phi_r)
-    bound = _logdet_lower_bound(b.conj().T @ phi_r, hankel, b.shape[1])
-    if beta is not None and check:
-        achieved = achieved_rank_r_logdet(b, phi_r, hankel, beta, side="actuator")
-        if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
-            raise NumericError(
-                f"log-det lower bound {bound} exceeds achieved {achieved}"
-            )
-    return bound
+    return sensor_logdet_lower_bound(b.conj().T, phi_r, hankel, beta, check)
 
 
 def achieved_rank_r_logdet(mat, modes, hankel, indices, side="sensor"):
     """log-det objective achieved on the rank-r balanced gramian.
 
     side="sensor": log|C_hat (Psi S Psi*) C_hat*| for C_hat = mat[indices];
-    side="actuator": log|B_hat* (Phi S Phi*) B_hat| for B_hat = mat[:, indices].
+    side="actuator": the same formula on mat*, i.e.
+    log|B_hat* (Phi S Phi*) B_hat| for B_hat = mat[:, indices].
     """
     mat = matkernel.as_complex(mat)
     modes = matkernel.as_complex(modes)
     r = modes.shape[1]
     sig = np.asarray(hankel, dtype=float)[:r]
-    if side == "sensor":
-        hat = mat[np.asarray(indices), :] @ modes
-    else:
-        hat = (modes.conj().T @ mat[:, np.asarray(indices)]).conj().T
+    idx = np.asarray(indices)
+    sampled = mat[idx, :] if side == "sensor" else mat[:, idx].conj().T
+    hat = sampled @ modes
     core = (hat * sig) @ hat.conj().T
     return matkernel.logdet_abs(core)

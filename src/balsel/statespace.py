@@ -123,16 +123,6 @@ def transfer_eval(m, s):
     return g
 
 
-def _eval_points(m, grid):
-    """Evaluation points on the imaginary axis / unit circle for `grid`."""
-    if m.time_domain == CONTINUOUS:
-        return 1j * grid.points
-    theta = grid.points[grid.points <= np.pi]
-    if theta.size == 0:
-        raise ValueError("discrete-time grid has no points in (0, pi]")
-    return np.exp(1j * theta)
-
-
 def _transfer_batch(m, s_values):
     """Stack of G(s) over the 1-D array `s_values` (batched solve)."""
     s = np.asarray(s_values, dtype=np.complex128)
@@ -174,32 +164,30 @@ def h2_norm_frequency(m, grid=None):
     """
     if not is_stable(m):
         raise UnstableSystemError("H2 norm undefined for unstable systems")
-    if grid is None:
-        grid = default_grid()
+    return _h2_from_frequency(m, default_grid() if grid is None else grid)
 
+
+def _h2_from_frequency(m, grid):
+    """The quadrature of `h2_norm_frequency` for a model known to be stable."""
+    real = m.is_real
     if m.time_domain == CONTINUOUS:
         omega = grid.points
-        if m.is_real:
+        if real:
             nodes = np.concatenate(([0.0], omega))
-            sym = 2.0
         else:
             nodes = np.concatenate((-omega[::-1], [0.0], omega))
-            sym = 1.0
         g = _transfer_batch(m, 1j * nodes)
-        integrand = np.sum(np.abs(g) ** 2, axis=(1, 2))
-        val = sym * np.trapezoid(integrand, nodes) / (2.0 * np.pi)
     else:
         theta = grid.points[grid.points <= np.pi]
-        if m.is_real:
+        if real:
             nodes = np.concatenate(([0.0], theta, [np.pi] if theta[-1] < np.pi else []))
-            sym = 2.0
         else:
             pos = np.concatenate(([0.0], theta))
             nodes = np.concatenate((-pos[:0:-1], pos))
-            sym = 1.0
         g = _transfer_batch(m, np.exp(1j * nodes))
-        integrand = np.sum(np.abs(g) ** 2, axis=(1, 2))
-        val = sym * np.trapezoid(integrand, nodes) / (2.0 * np.pi)
+    integrand = np.sum(np.abs(g) ** 2, axis=(1, 2))
+    sym = 2.0 if real else 1.0
+    val = sym * np.trapezoid(integrand, nodes) / (2.0 * np.pi)
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balsel import gramian, models, statespace
+from balsel import cli, gramian, models, statespace
 from balsel.errors import DimensionError
 from balsel.statespace import StateSpaceModel
 
@@ -213,6 +213,30 @@ class TestGLPipelineSmall:
         assert not set(sel.gamma.tolist()) & set(sel.beta.tolist())
         assert sel.collocation_forbidden
 
+    # pivots recorded before the selection was routed through the
+    # controller's adjoint; gamma/beta are in greedy pivot order
+    @pytest.mark.parametrize(
+        "no_collocate, r, gamma, beta",
+        [
+            (False, 1, [0], [0]),
+            (False, 2, [0, 27], [0, 25]),
+            (False, 3, [0, 27, 12], [0, 25, 12]),
+            (False, 4, [0, 27, 8, 17], [0, 26, 8, 17]),
+            (True, 1, [2], [0]),
+            (True, 2, [27, 2], [0, 25]),
+            (True, 3, [27, 11, 2], [0, 25, 12]),
+            (True, 4, [27, 7, 16, 2], [0, 26, 8, 17]),
+        ],
+    )
+    def test_pinned_pivots(self, no_collocate, r, gamma, beta):
+        out = models.gl_pipeline(
+            models.GinzburgLandauParams(n=28), r, no_collocate=no_collocate
+        )
+        sel = out["selection"]
+        assert sel.gamma.tolist() == gamma
+        assert sel.beta.tolist() == beta
+        assert sel.collocation_forbidden == no_collocate
+
     def test_noncollocated_full_size_sensors_stay_near_actuators(self):
         # excluded from actuator grid points, the sensors settle on
         # neighbouring ones: disjoint but near-adjacent pairs
@@ -247,6 +271,12 @@ class TestSchurCount:
         cl = StateSpaceModel(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         assert models.closed_loop_h2(cl) == (np.inf, False)
         assert schur_calls == [2]
+
+    def test_select_h2_metric(self, schur_calls, capsys):
+        argv = ["select", "--generate", "30,5,5,1", "--rank", "3", "--metric", "h2"]
+        assert cli.main(argv) == 0
+        # the gramian solve proves stability for both H2 forms
+        assert schur_calls == [30]
 
     def test_gl_pipeline(self, schur_calls):
         pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)

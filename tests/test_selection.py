@@ -138,6 +138,30 @@ class TestSelectNoncollocated:
         assert 0 not in sel.gamma.tolist()
 
 
+    def test_both_location_maps(self):
+        m = symmetric_system()
+        grams = gramian.compute_gramians(m)
+        bal = balancing.balance(grams, 3)
+        plain = selection.select_subsets(m.c, m.b, bal.psi_r, bal.phi_r)
+        assert plain.gamma[0] in plain.beta
+        # the first sensor sits at location 99, where no actuator is: it
+        # stays selectable although its index is a chosen actuator's
+        sensor_loc = np.arange(7)
+        sensor_loc[plain.gamma[0]] = 99
+        act_loc = np.arange(7)
+        sel = selection.select_noncollocated(
+            m.c,
+            m.b,
+            bal.psi_r,
+            bal.phi_r,
+            sensor_locations=sensor_loc,
+            actuator_locations=act_loc,
+        )
+        assert sel.beta.tolist() == plain.beta.tolist()
+        assert sel.gamma[0] == plain.gamma[0]
+        assert not set(sensor_loc[sel.gamma].tolist()) & set(act_loc[sel.beta].tolist())
+
+
 class TestProjection:
     def test_in_span_reproduction(self):
         m, grams, bal = balanced_system(seed=67, r=3)
