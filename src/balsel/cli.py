@@ -264,11 +264,9 @@ def _load_model(args):
         n, p, q, seed = (int(v) for v in parts[:4])
     except ValueError as exc:
         raise FormatError("--generate expects integer n,p,q,seed") from exc
-    domain = statespace.CONTINUOUS
-    if len(parts) == 5:
-        if parts[4] not in (statespace.DISCRETE, statespace.CONTINUOUS):
-            raise FormatError(f"unknown time domain {parts[4]!r}")
-        domain = parts[4]
+    domain = parts[4] if len(parts) == 5 else statespace.CONTINUOUS
+    if domain not in (statespace.CONTINUOUS, statespace.DISCRETE):
+        raise FormatError(f"unknown time domain {domain!r}")
     return models.random_stable_system(n, p, q, seed, time_domain=domain)
 
 
@@ -338,6 +336,8 @@ def cmd_select(args):
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
     gram_actuator = m.b.conj().T @ grams.w_o @ m.b
     report = evaluation.objective_report(sel, gram_sensor, gram_actuator)
+    if args.metric == "h2":  # before any output; compute_gramians proved stability
+        h2 = (statespace._h2_from_gramians(m, grams, 1e-8), statespace._h2_from_frequency(m, grid))
 
     print(f"gamma {_ones_based(sel.gamma)}")
     print(f"beta {_ones_based(sel.beta)}")
@@ -347,9 +347,8 @@ def cmd_select(args):
     print(f"logdet_actuator {_fmt(report.logdet_actuator)}")
     print(f"trace_sensor {_fmt(report.trace_sensor)}")
     if args.metric == "h2":
-        # compute_gramians has proved stability: no second Schur form
-        print(f"h2_norm {_fmt(statespace._h2_from_gramians(m, grams, 1e-8))}")
-        print(f"h2_norm_frequency {_fmt(statespace._h2_from_frequency(m, grid))}")
+        print(f"h2_norm {_fmt(h2[0])}")
+        print(f"h2_norm_frequency {_fmt(h2[1])}")
     err_explicit = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
     err_sqrt_p = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel, form="sqrt_p")
     low_s = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, sel.gamma)

@@ -1,15 +1,15 @@
 """Exact and empirical gramians; Lyapunov, Stein and Riccati solvers.
 
-The matrix-equation solvers reduce to complex Schur form and solve the
-triangular equation (Bartels-Stewart), so one code path serves real and
-complex systems alike.  One recursive blocked kernel, `_tri_solve`, solves
-both triangular equations: it halves the larger dimension until the blocks
-are small, so most of the work is matrix products, and solves the small
-blocks with LAPACK's ZTRSYL (continuous Lyapunov) or a column sweep with
-ZTRTRS (Stein).  `compute_gramians` factors A once per gramian pair and
-reads the Schur form of A* off it by a flip (see there).  The Riccati
-solver is Laub's ordered-Schur method on the Hamiltonian matrix with one
-Newton refinement step when the residual warrants it.
+The continuous Lyapunov equation A W + W A* + M = 0 and the Stein equation
+A W A* - W + M = 0 share one solver, `_solve_from_schur`; a `discrete` flag
+picks the stability and ill-posedness tests on the Schur diagonal and the
+leaf of the recursive blocked triangular kernel `_tri_solve`, which solves
+blocks of at most _LEAF with ZTRSYL (Lyapunov) or a ZTRTRS column sweep
+(Stein).  Complex Schur form serves real and complex systems alike.
+`compute_gramians` factors A once per gramian pair and reads the Schur form
+of A* off it by a flip (see there).  The Riccati solver is Laub's
+ordered-Schur method on the Hamiltonian matrix with one Newton refinement
+step when the residual warrants it.
 """
 
 import warnings
@@ -43,6 +43,12 @@ __all__ = [
 # Largest block the recursive triangular solver hands to a leaf solver.
 _LEAF = 128
 
+# Keyed by `discrete`: the eigenvalue coincidence that makes the equation singular.
+_ILL_POSED = {
+    False: "eigenvalue pair lambda_i + conj(lambda_j) ~ 0",
+    True: "eigenvalue product lambda_i * conj(lambda_j) ~ 1",
+}
+
 
 @dataclass
 class GramianPair:
@@ -59,15 +65,6 @@ def _hermitize(w):
     return 0.5 * (w + w.conj().T)
 
 
-def _check_square_pair(a, m):
-    a = matkernel.as_complex(a)
-    m = matkernel.as_complex(m)
-    n = a.shape[0]
-    if a.shape[1] != n or m.shape != (n, n):
-        raise DimensionError("coefficient and right-hand side must be square, same size")
-    return a, m
-
-
 def _real_if_real_inputs(w, *inputs):
     """Strip pure-roundoff imaginary parts when every input was real."""
     if any(np.any(x.imag) for x in inputs):
@@ -79,7 +76,7 @@ def _sylvester_leaf(a, b, c):
     """A X + X B* = C for small upper-triangular A, B (LAPACK ZTRSYL)."""
     x, scale, info = lapack.ztrsyl(a, b, c, trana="N", tranb="C")
     if info == 1:
-        raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
+        raise IllPosedError(_ILL_POSED[False])
     return x / scale
 
 
@@ -105,7 +102,7 @@ def _stein_leaf(a, b, c):
         coef[diag, diag] = lam - 1.0 / bkk
         xk, info = lapack.ztrtrs(coef, rhs / bkk)
         if info > 0:
-            raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
+            raise IllPosedError(_ILL_POSED[True])
         x[:, k] = xk
     return x
 
@@ -138,50 +135,43 @@ def _tri_solve(a, b, c, discrete):
     return x
 
 
-def _lyapunov_from_schur(u, t, m):
-    """Solve A W + W A* + M = 0 given the Schur form A = U T U*."""
+def _solve_from_schur(u, t, m, discrete):
+    """Solve A W + W A* + M = 0, or A W A* - W + M = 0 if `discrete`, given
+    the Schur form A = U T U*."""
     lam = np.diag(t)
-    abscissa = np.max(lam.real)
-    if abscissa >= 0.0:
-        raise UnstableSystemError(
-            f"model is unstable: spectral abscissa {abscissa:.6g} >= 0 "
-            "(the continuous Lyapunov equation needs a Hurwitz A)"
-        )
-    pairs = lam[:, None] + lam.conj()[None, :]
-    if np.min(np.abs(pairs)) <= 1e-12 * max(np.abs(lam).max(), 1.0):
-        raise IllPosedError("eigenvalue pair lambda_i + conj(lambda_j) ~ 0")
-    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete=False)
+    unstable = statespace._instability(lam, discrete)
+    if unstable:
+        eq = "the Stein equation needs a Schur-stable A" if discrete else (
+            "the continuous Lyapunov equation needs a Hurwitz A")
+        raise UnstableSystemError(f"model is unstable: {unstable} ({eq})")
+    if discrete:
+        gap, tol = np.abs(1.0 - lam[:, None] * lam.conj()), 1e-12
+    else:
+        gap, tol = np.abs(lam[:, None] + lam.conj()), 1e-12 * max(np.abs(lam).max(), 1.0)
+    if np.min(gap) <= tol:
+        raise IllPosedError(_ILL_POSED[discrete])
+    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete)
     return _hermitize(u @ x @ u.conj().T)
 
 
-def _stein_from_schur(u, t, m):
-    """Solve A W A* - W + M = 0 given the Schur form A = U T U*."""
-    lam = np.diag(t)
-    radius = np.max(np.abs(lam))
-    if radius >= 1.0:
-        raise UnstableSystemError(
-            f"model is unstable: spectral radius {radius:.6g} >= 1 "
-            "(the Stein equation needs a Schur-stable A)"
-        )
-    prods = lam[:, None] * lam.conj()[None, :]
-    if np.min(np.abs(1.0 - prods)) <= 1e-12:
-        raise IllPosedError("eigenvalue product lambda_i * conj(lambda_j) ~ 1")
-    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete=True)
-    return _hermitize(u @ x @ u.conj().T)
+def _solve(a, m, discrete):
+    a = matkernel.as_complex(a)
+    m = matkernel.as_complex(m)
+    n = a.shape[0]
+    if a.shape[1] != n or m.shape != (n, n):
+        raise DimensionError("coefficient and right-hand side must be square, same size")
+    u, t = matkernel.schur(a)
+    return _real_if_real_inputs(_solve_from_schur(u, t, m, discrete), a, m)
 
 
 def solve_lyapunov_continuous(a, m):
     """Solve A W + W A* + M = 0 for Hurwitz A and Hermitian M."""
-    a, m = _check_square_pair(a, m)
-    u, t = matkernel.schur(a)
-    return _real_if_real_inputs(_lyapunov_from_schur(u, t, m), a, m)
+    return _solve(a, m, discrete=False)
 
 
 def solve_stein(a, m):
     """Solve A W A* - W + M = 0 for Schur-stable A and Hermitian M."""
-    a, m = _check_square_pair(a, m)
-    u, t = matkernel.schur(a)
-    return _real_if_real_inputs(_stein_from_schur(u, t, m), a, m)
+    return _solve(a, m, discrete=True)
 
 
 def lyapunov_residual(a, w, m):
@@ -210,12 +200,10 @@ def compute_gramians(m):
     u_adj = np.ascontiguousarray(u[:, ::-1])
     t_adj = np.ascontiguousarray(t.conj().T[::-1, ::-1])
     a_adj = m.a.conj().T
-    if m.time_domain == statespace.CONTINUOUS:
-        solve, residual = _lyapunov_from_schur, lyapunov_residual
-    else:
-        solve, residual = _stein_from_schur, stein_residual
-    w_c = _real_if_real_inputs(solve(u, t, bb), m.a, bb)
-    w_o = _real_if_real_inputs(solve(u_adj, t_adj, cc), a_adj, cc)
+    discrete = m.time_domain == statespace.DISCRETE
+    residual = stein_residual if discrete else lyapunov_residual
+    w_c = _real_if_real_inputs(_solve_from_schur(u, t, bb, discrete), m.a, bb)
+    w_o = _real_if_real_inputs(_solve_from_schur(u_adj, t_adj, cc, discrete), a_adj, cc)
     res_c = residual(m.a, w_c, bb)
     res_o = residual(a_adj, w_o, cc)
     return GramianPair(w_c, w_o, res_c, res_o, source_tag="exact")
@@ -315,6 +303,6 @@ def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
             pass  # keep the unrefined iterate
 
     a_cl = a - b @ np.linalg.solve(r_weight, b.conj().T @ x)
-    if np.max(matkernel.eigvals(a_cl).real) >= 0.0:
+    if statespace._instability(matkernel.eigvals(a_cl), discrete=False):
         raise SynthesisError("Riccati closed loop is not stable")
     return _real_if_real_inputs(x, a, b, q_weight, r_weight)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import balancing, gramian, matkernel, selection, statespace
-from .errors import DimensionError, SynthesisError, UnstableSystemError
+from .errors import DimensionError, UnstableSystemError
 
 __all__ = [
     "GinzburgLandauParams",
@@ -141,21 +141,17 @@ class GinzburgLandauParams:
     beta_diff: complex = 1.0 - 1.0j
     mu_profile: tuple = (0.37, 0.0, -0.005)
     kernel_width: float = 0.4
-    grid: np.ndarray = field(default=None, repr=False)
-    trap_weights: np.ndarray = field(default=None, repr=False)
+    # the Hermite-root collocation grid and its trapezoidal weights, derived from n
+    grid: np.ndarray = field(init=False, repr=False)
+    trap_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("grid size must be at least 4")
         if self.kernel_width <= 0:
             raise ValueError("kernel width must be positive")
-        if self.grid is None:
-            self.grid = hermite_roots(self.n)
-        self.grid = np.asarray(self.grid, dtype=float)
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if self.trap_weights is None:
-            self.trap_weights = trapezoid_weights(self.grid)
+        self.grid = hermite_roots(self.n)
+        self.trap_weights = trapezoid_weights(self.grid)
 
     def mu(self, xi):
         c0, c1, c2 = self.mu_profile
@@ -207,8 +203,9 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     L the dual filter equation with process covariance w_cov and
     measurement covariance v_cov.  Defaults: q_hat = r_hat = w_cov = I,
     v_cov = 4e-8 I.  solve_care verifies that the regulator A - B2 F and
-    the estimator A - L C2 are stable; the controller A - B2 F - L C2 is
-    checked here.
+    the estimator A - L C2 are stable.  The controller A - B2 F - L C2 is
+    not checked here: balancing it needs a stable A_K, and its gramian
+    solve raises UnstableSystemError if it is not.
     """
     a = matkernel.as_complex(a)
     b2 = matkernel.as_complex(b2)
@@ -229,8 +226,6 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     l = np.linalg.solve(v_cov.conj().T, c2 @ y.conj().T).conj().T
 
     a_k = a - b2 @ f - l @ c2
-    if np.max(matkernel.eigvals(a_k).real) >= 0.0:
-        raise SynthesisError("controller dynamics are not stable")
     controller = statespace.StateSpaceModel(a_k, l, -f, time_domain=statespace.CONTINUOUS)
     return LQGController(
         f_gain=f,
@@ -339,26 +334,21 @@ def lqg_gain_grid(controller, gamma, beta, grid, coordinates):
     return gains, gamma_sorted, beta_sorted
 
 
-def gl_pipeline(params=None, r=5, no_collocate=False, swap_noise=False):
+def gl_pipeline(params=None, r=5, no_collocate=False):
     """Full Ginzburg-Landau selection pipeline at truncation rank r.
 
-    Synthesizes the full LQG controller, balances it, QR-selects r sensors
-    and r actuators on the controller's adjoint (its output matrix L*
-    samples the plant's sensors, its input matrix -F* the plant's
-    actuators), and assembles the restricted closed loop.  With
+    Synthesizes the full LQG controller (default weights), balances it,
+    QR-selects r sensors and r actuators on the controller's adjoint (its
+    output matrix L* samples the plant's sensors, its input matrix -F* the
+    plant's actuators), and assembles the restricted closed loop.  With
     no_collocate the actuators are chosen first and sensors may not reuse
-    their grid locations.  swap_noise exchanges the process/measurement
-    covariance defaults (I and 4e-8 I).
+    their grid locations.  The controller's gramian solve is the one test
+    of its stability (UnstableSystemError if A_K is not Hurwitz).
     """
     if params is None:
         params = GinzburgLandauParams()
     a, b2, c2 = ginzburg_landau_plant(params)
-    n = params.n
-    w_cov = np.eye(n, dtype=np.complex128)
-    v_cov = 4e-8 * np.eye(n, dtype=np.complex128)
-    if swap_noise:
-        w_cov, v_cov = v_cov, w_cov
-    controller = lqg_synthesize(a, b2, c2, w_cov=w_cov, v_cov=v_cov)
+    controller = lqg_synthesize(a, b2, c2)
 
     grams = gramian.compute_gramians(controller.controller_model)
     bal = balancing.balance(grams, r)

@@ -104,10 +104,16 @@ def default_grid():
 
 def is_stable(m):
     """Hurwitz test (continuous) or spectral-radius test (discrete)."""
-    lam = matkernel.eigvals(m.a)
-    if m.time_domain == CONTINUOUS:
-        return bool(np.max(lam.real) < 0.0)
-    return bool(np.max(np.abs(lam)) < 1.0)
+    return not _instability(matkernel.eigvals(m.a), m.time_domain == DISCRETE)
+
+
+def _instability(lam, discrete):
+    """'' if the eigenvalues `lam` are stable, else why not (for messages)."""
+    if discrete:
+        radius = np.max(np.abs(lam))
+        return "" if radius < 1.0 else f"spectral radius {radius:.6g} >= 1"
+    abscissa = np.max(lam.real)
+    return "" if abscissa < 0.0 else f"spectral abscissa {abscissa:.6g} >= 0"
 
 
 def transfer_eval(m, s):
@@ -160,33 +166,38 @@ def h2_norm_frequency(m, grid=None):
 
     Continuous systems integrate (1/2 pi) tr(G(jw)* G(jw)) over the real
     line; real-coefficient systems use conjugate symmetry and integrate the
-    positive half twice.  Discrete systems integrate over the unit circle.
+    positive half twice.  Discrete systems integrate over the unit circle
+    and need a grid point in (0, pi] (DimensionError otherwise).
     """
     if not is_stable(m):
         raise UnstableSystemError("H2 norm undefined for unstable systems")
     return _h2_from_frequency(m, default_grid() if grid is None else grid)
 
 
-def _h2_from_frequency(m, grid):
-    """The quadrature of `h2_norm_frequency` for a model known to be stable."""
+def _nodes(m, grid):
+    """(nodes, points): frequencies omega and points j omega, or angles theta
+    in [0, pi] and points e^{j theta}.  Real models take the half-line from 0
+    (a real discrete one ends at pi); complex ones add its mirror image.
+    """
     real = m.is_real
     if m.time_domain == CONTINUOUS:
-        omega = grid.points
-        if real:
-            nodes = np.concatenate(([0.0], omega))
-        else:
-            nodes = np.concatenate((-omega[::-1], [0.0], omega))
-        g = _transfer_batch(m, 1j * nodes)
+        half = np.concatenate(([0.0], grid.points))
     else:
         theta = grid.points[grid.points <= np.pi]
-        if real:
-            nodes = np.concatenate(([0.0], theta, [np.pi] if theta[-1] < np.pi else []))
-        else:
-            pos = np.concatenate(([0.0], theta))
-            nodes = np.concatenate((-pos[:0:-1], pos))
-        g = _transfer_batch(m, np.exp(1j * nodes))
-    integrand = np.sum(np.abs(g) ** 2, axis=(1, 2))
-    sym = 2.0 if real else 1.0
+        if theta.size == 0:
+            raise DimensionError("a discrete model needs a grid point in (0, pi]")
+        end = [np.pi] if real and theta[-1] < np.pi else []
+        half = np.concatenate(([0.0], theta, end))
+    nodes = half if real else np.concatenate((-half[:0:-1], half))
+    points = 1j * nodes if m.time_domain == CONTINUOUS else np.exp(1j * nodes)
+    return nodes, points
+
+
+def _h2_from_frequency(m, grid):
+    """The quadrature of `h2_norm_frequency` for a model known to be stable."""
+    nodes, points = _nodes(m, grid)
+    integrand = np.sum(np.abs(_transfer_batch(m, points)) ** 2, axis=(1, 2))
+    sym = 2.0 if m.is_real else 1.0
     val = sym * np.trapezoid(integrand, nodes) / (2.0 * np.pi)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -194,25 +205,11 @@ def _h2_from_frequency(m, grid):
 def hinf_estimate(m, grid=None):
     """Grid estimate of the H-infinity norm (a lower bound on the truth).
 
-    Takes the maximum over the grid of the largest singular value of G; for
-    complex-coefficient systems negative frequencies are scanned as well.
+    Takes the maximum of the largest singular value of G over the nodes of
+    `h2_norm_frequency` (negative frequencies too for complex systems).
     """
-    if grid is None:
-        grid = default_grid()
-    if m.time_domain == CONTINUOUS:
-        omega = grid.points
-        if not m.is_real:
-            omega = np.concatenate((-omega[::-1], [0.0], omega))
-        else:
-            omega = np.concatenate(([0.0], omega))
-        pts = 1j * omega
-    else:
-        theta = grid.points[grid.points <= np.pi]
-        theta = np.concatenate(([0.0], theta))
-        if not m.is_real:
-            theta = np.concatenate((-theta[:0:-1], theta))
-        pts = np.exp(1j * theta)
-    g = _transfer_batch(m, pts)
+    _, points = _nodes(m, default_grid() if grid is None else grid)
+    g = _transfer_batch(m, points)
     return float(np.linalg.svd(g, compute_uv=False)[:, 0].max())
 
 
@@ -221,8 +218,11 @@ def impulse_snapshots(m, dt, steps):
 
     Direct snapshots are e^{A k dt} B, adjoint snapshots e^{A* k dt} C*,
     for k = 0..steps-1, returned as n x (q*steps) and n x (p*steps) block
-    matrices together with trapezoidal quadrature weights.
+    matrices together with trapezoidal quadrature weights.  Continuous
+    models only.
     """
+    if m.time_domain != CONTINUOUS:
+        raise DimensionError("impulse snapshots need a continuous-time model")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
@@ -230,22 +230,14 @@ def impulse_snapshots(m, dt, steps):
     if not is_stable(m):
         raise UnstableSystemError("impulse snapshots require a stable system")
     prop = sla.expm(m.a * dt)
-    direct = np.empty((m.n, m.q * steps), dtype=np.complex128)
-    adjoint = np.empty((m.n, m.p * steps), dtype=np.complex128)
-    xd = m.b.copy()
-    xa = m.c.conj().T.copy()
-    for k in range(steps):
-        direct[:, k * m.q : (k + 1) * m.q] = xd
-        adjoint[:, k * m.p : (k + 1) * m.p] = xa
-        if k + 1 < steps:
-            xd = prop @ xd
-            xa = prop.conj().T @ xa
+    direct, adjoint = [m.b], [m.c.conj().T]
+    for _ in range(steps - 1):
+        direct.append(prop @ direct[-1])
+        adjoint.append(prop.conj().T @ adjoint[-1])
     weights = np.full(steps, dt)
     if steps > 1:
         weights[0] = weights[-1] = 0.5 * dt
-    else:
-        weights[:] = dt
-    return direct, adjoint, weights
+    return np.hstack(direct), np.hstack(adjoint), weights
 
 
 def adjoint_model(m):

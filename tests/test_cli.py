@@ -267,6 +267,15 @@ class TestSelectCommand:
         beta = set(next(l for l in out if l.startswith("beta ")).split()[1].split(","))
         assert not gamma & beta
 
+    def test_h2_discrete_grid_outside_0_pi_exit_2(self, capsys):
+        # no grid point in (0, pi]: the error comes before any report line
+        argv = ["select", "--generate", "10,4,4,1,discrete", "--rank", "2",
+                "--metric", "h2", "--freq-grid", "4,5,10"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_csv_written(self, tmp_path, capsys):
         out = tmp_path / "sel.csv"
         assert (

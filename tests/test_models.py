@@ -106,6 +106,14 @@ class TestGinzburgLandauPlant:
             c2, (b2 * params.trap_weights[:, None]).T, atol=1e-14
         )
 
+    def test_grid_is_derived_from_n(self):
+        params = models.GinzburgLandauParams(n=12)
+        np.testing.assert_array_equal(params.grid, models.hermite_roots(12))
+        with pytest.raises(TypeError):
+            models.GinzburgLandauParams(n=12, grid=np.linspace(-6, 6, 12))
+        with pytest.raises(TypeError):
+            models.GinzburgLandauParams(n=12, trap_weights=np.ones(12))
+
 
 class TestLQG:
     def test_scalar_symmetric_gains(self):
@@ -281,6 +289,6 @@ class TestSchurCount:
     def test_gl_pipeline(self, schur_calls):
         pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
         assert pipe["stable"]
-        # two Riccati closed-loop checks, the controller check, the
-        # controller's gramian pair and the closed loop's pair
-        assert len(schur_calls) <= 5
+        # two Riccati closed-loop checks, the controller's gramian pair
+        # (which also proves the controller stable) and the closed loop's pair
+        assert schur_calls == [28, 28, 28, 56]

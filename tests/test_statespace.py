@@ -51,6 +51,11 @@ class TestIsStable:
         m = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], time_domain="discrete")
         assert statespace.is_stable(m)
 
+    def test_marginal_discrete(self):
+        # an eigenvalue exactly on the unit circle is not stable
+        m = StateSpaceModel(np.diag([0.5, -1.0]), np.ones((2, 1)), np.ones((1, 2)), "discrete")
+        assert not statespace.is_stable(m)
+
 
 class TestTransferEval:
     def test_scalar_dc(self):
@@ -161,6 +166,61 @@ class TestH2Norms:
         assert val == pytest.approx(ref, rel=1e-3)
 
 
+def _norm_cases():
+    """One model per time domain and field; grid top below pi."""
+    rng = np.random.default_rng(7)
+    a = np.diag([-0.5 + 1.0j, -0.3 - 2.0j, -1.0 + 0.2j]) + 0.1 * rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    ad = np.diag([0.5 + 0.4j, -0.3 - 0.6j, 0.8j]) + 0.05 * rng.standard_normal((3, 3))
+    return {
+        "continuous-real": random_stable_system(6, 2, 3, seed=11),
+        "continuous-complex": StateSpaceModel(a, b, c),
+        "discrete-real": random_stable_system(6, 2, 3, seed=11, time_domain="discrete"),
+        "discrete-complex": StateSpaceModel(ad, b, c, time_domain="discrete"),
+    }
+
+
+class TestFrequencyNodes:
+    # h2 and hinf recorded before both functions shared one node builder; the
+    # real discrete hinf then lacked the theta = pi node and may only rise
+    @pytest.mark.parametrize(
+        "case, h2, hinf",
+        [
+            ("continuous-real", 39.047924724947606, 146.83859962625746),
+            ("continuous-complex", 5.830831238774573, 8.691030073275108),
+            ("discrete-real", 4.275624785068983, 6.739208647852131),
+            ("discrete-complex", 12.728104425889372, 30.87691066638609),
+        ],
+    )
+    def test_pinned_norms(self, case, h2, hinf):
+        m = _norm_cases()[case]
+        grid = statespace.log_grid(1e-2, 3.0, 40)
+        assert statespace.h2_norm_frequency(m, grid) == pytest.approx(h2, rel=1e-12)
+        est = statespace.hinf_estimate(m, grid)
+        if case == "discrete-real":
+            assert est >= hinf
+        else:
+            assert est == pytest.approx(hinf, rel=1e-12)
+
+    def test_real_discrete_hinf_reaches_pi(self):
+        # |G(e^{j theta})| peaks at theta = pi: |1/(-1 + 0.9) + 1/(-1 - 0.5)| = 32/3
+        m = StateSpaceModel(
+            np.diag([-0.9, 0.5]), np.ones((2, 1)), np.ones((1, 2)), time_domain="discrete"
+        )
+        est = statespace.hinf_estimate(m, statespace.log_grid(1e-2, 3.0, 40))
+        assert est == pytest.approx(32.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("diag", [[0.5, 0.3], [0.5, 0.3j]], ids=["real", "complex"])
+    def test_discrete_grid_without_a_point_in_0_pi(self, diag):
+        m = StateSpaceModel(np.diag(diag), np.ones((2, 1)), np.ones((1, 2)), "discrete")
+        grid = statespace.log_grid(4, 5, 10)
+        with pytest.raises(DimensionError, match=r"\(0, pi\]"):
+            statespace.h2_norm_frequency(m, grid)
+        with pytest.raises(DimensionError, match=r"\(0, pi\]"):
+            statespace.hinf_estimate(m, grid)
+
+
 class TestHinfEstimate:
     def test_scalar_peak_at_dc(self):
         assert statespace.hinf_estimate(scalar_model()) == pytest.approx(1.0, rel=1e-4)
@@ -197,6 +257,11 @@ class TestImpulseSnapshots:
         direct, adjoint, w = statespace.impulse_snapshots(m, 0.01, 2000)
         wc = (direct * w) @ direct.conj().T
         assert wc[0, 0].real == pytest.approx(0.5, abs=1e-3)
+
+    def test_discrete_model_rejected(self):
+        m = StateSpaceModel(np.diag([-0.5, -0.3]), np.ones((2, 1)), np.ones((1, 2)), "discrete")
+        with pytest.raises(DimensionError, match="continuous"):
+            statespace.impulse_snapshots(m, 1.0, 10)
 
 
 class TestDifferenceModel:
