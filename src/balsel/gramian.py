@@ -265,8 +265,10 @@ def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
     """Stabilizing solution of A* X + X A - X B R^{-1} B* X + Q = 0.
 
     Uses the ordered complex Schur form of the Hamiltonian matrix (stable
-    eigenvalues first); if the relative residual exceeds `refine_tol`, one
-    Newton step (a Lyapunov solve on the closed loop) refines the iterate.
+    eigenvalues first), computed on one scipy BLAS thread like every Schur
+    form (see `matkernel`); if the relative residual exceeds `refine_tol`,
+    one Newton step (a Lyapunov solve on the closed loop) refines the
+    iterate.
     """
     a = matkernel.as_complex(a)
     b = matkernel.as_complex(b)
@@ -278,7 +280,8 @@ def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
 
     g = b @ np.linalg.solve(r_weight, b.conj().T)
     ham = np.block([[a, -g], [-q_weight, -a.conj().T]])
-    t, u, sdim = sla.schur(ham, output="complex", sort=lambda z: z.real < 0.0)
+    with matkernel._one_lapack_thread():
+        t, u, sdim = sla.schur(ham, output="complex", sort=lambda z: z.real < 0.0)
     if sdim != n:
         raise SynthesisError(
             f"Hamiltonian has {sdim} stable eigenvalues, expected {n}: "

@@ -7,13 +7,29 @@ arithmetic and return the same complex factors.  The column-pivoted QR is
 implemented from scratch because the pivot sequence itself is the product
 the rest of the package consumes; SVD and Schur are thin wrappers around
 LAPACK with the conventions used here.
+
+Every Schur decomposition runs with scipy's OpenBLAS at one thread
+(`_one_lapack_thread`).  numpy and scipy each bundle their own OpenBLAS,
+each with its own thread pool on the same CPUs.  The chain alternates
+numpy matrix products with scipy LAPACK calls, and while one pool works
+the other's idle workers keep spinning, so a two-thread LAPACK call waits
+at every barrier.  On a 2-CPU machine with both pools at two threads, CPU
+time measured about twice wall time, and a 200x200 complex Schur inside
+the Ginzburg-Landau pipeline took 2-2.5x as long as the same call alone.
+numpy's copy keeps its threads; the large SVDs and products need them.
 """
 
+import contextlib
+import ctypes
+import functools
 import gc
+import glob
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from .errors import DimensionError, NumericError, SingularMatrixError
@@ -252,21 +268,55 @@ def svd(a):
     return u, s, vh.conj().T
 
 
+@functools.cache
+def _scipy_openblas():
+    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or None."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_lapack_thread():
+    """Run the body with scipy's OpenBLAS at one thread, then restore its
+    previous count (exceptions included).  A no-op without that library."""
+    blas = _scipy_openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
 def schur(a):
     """Complex Schur decomposition a = u @ t @ u* with t upper triangular.
 
     A matrix with no imaginary part is reduced to real Schur form and its
     2x2 blocks are then split by `rsf2csf`, which is cheaper than the QR
-    iteration in complex arithmetic.
+    iteration in complex arithmetic.  LAPACK runs on one scipy BLAS thread.
     """
     a = as_complex(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("schur requires a square matrix")
     try:
-        if np.any(a.imag):
-            t, u = sla.schur(a, output="complex")
-        else:
-            t, u = sla.rsf2csf(*sla.schur(a.real, output="real"))
+        with _one_lapack_thread():
+            if np.any(a.imag):
+                t, u = sla.schur(a, output="complex")
+            else:
+                t, u = sla.rsf2csf(*sla.schur(a.real, output="real"))
     except sla.LinAlgError as exc:  # QR iteration failed to converge
         raise NumericError(f"schur iteration did not converge: {exc}") from exc
     return u, t

@@ -177,18 +177,18 @@ def h2_norm_frequency(m, grid=None):
 def _nodes(m, grid):
     """(nodes, points): frequencies omega and points j omega, or angles theta
     in [0, pi] and points e^{j theta}.  Real models take the half-line from 0
-    (a real discrete one ends at pi); complex ones add its mirror image.
+    (a discrete one ends at pi); complex ones add its mirror image, so a
+    complex discrete model covers the whole circle [-pi, pi].
     """
-    real = m.is_real
     if m.time_domain == CONTINUOUS:
         half = np.concatenate(([0.0], grid.points))
     else:
         theta = grid.points[grid.points <= np.pi]
         if theta.size == 0:
             raise DimensionError("a discrete model needs a grid point in (0, pi]")
-        end = [np.pi] if real and theta[-1] < np.pi else []
+        end = [np.pi] if theta[-1] < np.pi else []
         half = np.concatenate(([0.0], theta, end))
-    nodes = half if real else np.concatenate((-half[:0:-1], half))
+    nodes = half if m.is_real else np.concatenate((-half[:0:-1], half))
     points = 1j * nodes if m.time_domain == CONTINUOUS else np.exp(1j * nodes)
     return nodes, points
 

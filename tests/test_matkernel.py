@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from balsel import matkernel
-from balsel.errors import DimensionError, SingularMatrixError
+from balsel import matkernel, models
+from balsel.errors import DimensionError, NumericError, SingularMatrixError
 
 
 def random_complex(rng, m, n):
@@ -241,6 +242,73 @@ class TestSchur:
         gap = np.abs(lam[:, None] - ref[None, :])
         assert gap.min(axis=0).max() <= 1e-10 * np.abs(ref).max()
         assert gap.min(axis=1).max() <= 1e-10 * np.abs(ref).max()
+
+
+class TestOneLapackThread:
+    """Schur forms run with scipy's OpenBLAS at one thread; its count comes back."""
+
+    @pytest.fixture
+    def blas(self):
+        blas = matkernel._scipy_openblas()
+        if blas is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        get, put = blas
+        saved = get()
+        put(2)  # a count the scope visibly changes
+        yield blas
+        put(saved)
+
+    @pytest.fixture
+    def schur_threads(self, monkeypatch, blas):
+        """scipy's OpenBLAS thread count seen by every sla.schur call."""
+        seen = []
+        inner = sla.schur
+
+        def recording(*args, **kwargs):
+            seen.append(blas[0]())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", recording)
+        return seen
+
+    def test_gl_pipeline_restores_count(self, blas, schur_threads):
+        models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
+        # the Hamiltonian Schur forms of both Riccati solves, the two
+        # closed-loop checks and both gramian pairs
+        assert schur_threads == [1] * 6
+        assert blas[0]() == 2
+
+    def test_restored_when_body_raises(self, monkeypatch, blas):
+        def failing(*args, **kwargs):
+            assert blas[0]() == 1
+            raise sla.LinAlgError("no convergence")
+
+        monkeypatch.setattr(sla, "schur", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            matkernel.schur(np.eye(3) + 1j * np.eye(3))
+        assert blas[0]() == 2
+
+    def test_nested_scopes_restore_outer_count(self, blas):
+        get, put = blas
+        with matkernel._one_lapack_thread():
+            assert get() == 1
+            put(3)
+            with matkernel._one_lapack_thread():
+                assert get() == 1
+            assert get() == 3
+        assert get() == 2
+
+    def test_without_the_library_is_a_no_op(self, monkeypatch, blas, schur_threads):
+        params = models.GinzburgLandauParams(n=28)
+        ref = models.gl_pipeline(params, r=3)
+        schur_threads.clear()
+        monkeypatch.setattr(matkernel, "_scipy_openblas", lambda: None)
+        out = models.gl_pipeline(params, r=3)
+        assert schur_threads == [2] * 6
+        assert blas[0]() == 2
+        assert out["selection"].gamma.tolist() == ref["selection"].gamma.tolist()
+        assert out["selection"].beta.tolist() == ref["selection"].beta.tolist()
+        assert out["h2"] == pytest.approx(ref["h2"], rel=1e-9)
 
 
 class TestLogdetAbs:

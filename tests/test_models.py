@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,24 @@ class TestGLPipelineSmall:
         assert sel.gamma.tolist() == gamma
         assert sel.beta.tolist() == beta
         assert sel.collocation_forbidden == no_collocate
+
+    @pytest.mark.parametrize("r", [3, 5])
+    def test_riccati_newton_step_keeps_the_answer(self, monkeypatch, schur_calls, r):
+        # whether solve_care takes its Newton step can hinge on rounding (the
+        # BLAS thread count): at n = 100 the filter residual sits near
+        # refine_tol.  Forcing the step on and off must not move the answer.
+        solve_care = gramian.solve_care
+        outs = []
+        for tol in (0.0, np.inf):
+            monkeypatch.setattr(gramian, "solve_care", functools.partial(solve_care, refine_tol=tol))
+            schur_calls.clear()
+            outs.append(models.gl_pipeline(models.GinzburgLandauParams(n=28), r))
+            # each Newton step is one Lyapunov solve, one more Schur form
+            assert len(schur_calls) == (6 if tol == 0.0 else 4)
+        refined, unrefined = outs
+        assert refined["selection"].gamma.tolist() == unrefined["selection"].gamma.tolist()
+        assert refined["selection"].beta.tolist() == unrefined["selection"].beta.tolist()
+        assert refined["h2"] == pytest.approx(unrefined["h2"], rel=1e-9)
 
     def test_noncollocated_full_size_sensors_stay_near_actuators(self):
         # excluded from actuator grid points, the sensors settle on

@@ -183,14 +183,16 @@ def _norm_cases():
 
 class TestFrequencyNodes:
     # h2 and hinf recorded before both functions shared one node builder; the
-    # real discrete hinf then lacked the theta = pi node and may only rise
+    # discrete hinf then lacked the theta = +-pi nodes and may only rise.  The
+    # discrete-complex h2 was re-recorded when its circle was closed at +-pi
+    # (it read 12.728104425889372 on the open circle)
     @pytest.mark.parametrize(
         "case, h2, hinf",
         [
             ("continuous-real", 39.047924724947606, 146.83859962625746),
             ("continuous-complex", 5.830831238774573, 8.691030073275108),
             ("discrete-real", 4.275624785068983, 6.739208647852131),
-            ("discrete-complex", 12.728104425889372, 30.87691066638609),
+            ("discrete-complex", 12.79318570476357, 30.87691066638609),
         ],
     )
     def test_pinned_norms(self, case, h2, hinf):
@@ -198,10 +200,17 @@ class TestFrequencyNodes:
         grid = statespace.log_grid(1e-2, 3.0, 40)
         assert statespace.h2_norm_frequency(m, grid) == pytest.approx(h2, rel=1e-12)
         est = statespace.hinf_estimate(m, grid)
-        if case == "discrete-real":
+        if case.startswith("discrete"):
             assert est >= hinf
         else:
             assert est == pytest.approx(hinf, rel=1e-12)
+
+    def test_complex_discrete_circle_is_closed(self):
+        # the open circle read 12.728 against the gramian's 12.794 (gap 6.6e-2)
+        m = _norm_cases()["discrete-complex"]
+        h2 = statespace.h2_norm_frequency(m, statespace.log_grid(1e-2, 3.0, 40))
+        exact = statespace.h2_norm_gramian(m, gramian.compute_gramians(m))
+        assert h2 == pytest.approx(exact, abs=2e-3)
 
     def test_real_discrete_hinf_reaches_pi(self):
         # |G(e^{j theta})| peaks at theta = pi: |1/(-1 + 0.9) + 1/(-1 - 0.5)| = 32/3
