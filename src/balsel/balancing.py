@@ -60,7 +60,7 @@ def _psd_factor(w, clip_tol=1e-12):
         lam, v = np.linalg.eigh(w)
         lam = np.clip(lam, 0.0, None)
         if lam.size == 0 or lam.max() == 0.0:
-            return np.zeros((w.shape[0], 1), dtype=np.complex128)
+            return np.zeros((w.shape[0], 1), dtype=w.dtype)
         keep = lam > clip_tol * lam.max()
         return v[:, keep] * np.sqrt(lam[keep])
 

@@ -59,7 +59,7 @@ def _fmt_entry(z, field):
 
 
 def write_matrix(fh, a, name=None):
-    a = matkernel.as_complex(a)
+    a = matkernel.as_matrix(a)
     field = "real" if not np.any(a.imag) else "complex"
     if name:
         fh.write(f"# {name}\n")
@@ -110,18 +110,18 @@ def _parse_entry(tok, field):
         if field == "complex":
             re_s, im_s = tok.split(",")
             return complex(float(re_s), float(im_s))
-        return complex(float(tok), 0.0)
+        return float(tok)
     except ValueError as exc:
         raise FormatError(f"bad matrix entry {tok!r}") from exc
 
 
 def _parse_entries(tokens, field, out):
-    """Parse `tokens` into the complex slice `out`.
+    """Parse `tokens` into the float64 or complex128 slice `out`.
 
-    Real and imaginary parts are assigned through the `.real`/`.imag`
-    views (never as re + 1j*im, which turns an infinite im into nan).  On
-    a conversion error the tokens are parsed one by one to name the first
-    bad entry.
+    Complex entries' real and imaginary parts are assigned through the
+    `.real`/`.imag` views (never as re + 1j*im, which turns an infinite im
+    into nan).  On a conversion error the tokens are parsed one by one to
+    name the first bad entry.
     """
     try:
         if field == "complex":
@@ -131,7 +131,7 @@ def _parse_entries(tokens, field, out):
             out.real = parts[:, 0]
             out.imag = parts[:, 1]
         else:
-            out.real = np.array(tokens, dtype=float)
+            out[:] = np.array(tokens, dtype=float)
     except ValueError:
         out[:] = [_parse_entry(tok, field) for tok in tokens]
 
@@ -154,7 +154,7 @@ def _read_matrix_tokens(tokens):
     if field not in ("real", "complex"):
         raise FormatError(f"unknown field tag {field!r}")
     total = rows * cols
-    data = np.zeros(total, dtype=np.complex128)
+    data = np.zeros(total, dtype=np.complex128 if field == "complex" else np.float64)
     filled = 0
     while filled < total:
         chunk = tokens.take(total - filled)
@@ -377,10 +377,9 @@ def cmd_bruteforce(args):
     grams, bal, sel = _select_on_model(m, budget, args.no_collocate)
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
     best, values = evaluation.brute_force(gram_sensor, budget, cap=cap, metric=args.metric)
-    if args.metric == "trace":
-        qr_value = evaluation.trace_objective(sel.gamma, gram_sensor)
-    else:
-        qr_value = evaluation.logdet_objective(sel.gamma, gram_sensor)
+    # scored like the enumeration (sorted indices, same kernel), so the QR
+    # subset's own entry is never counted strictly below its score
+    qr_value = evaluation._subset_values(gram_sensor, np.sort(sel.gamma)[None], args.metric)[0]
     pct = evaluation.percentile_strictly_below(values, qr_value)
     out = args.out or "bruteforce.csv"
     with open(out, "w") as fh:
@@ -439,7 +438,17 @@ def _parse_rank_list(args):
     return ranks
 
 
+def _positive_rank(args, default):
+    """`--rank`, or `default` when it is not given; FormatError unless >= 1."""
+    if args.rank is None:
+        return default
+    if args.rank < 1:
+        raise FormatError(f"--rank must be >= 1, got {args.rank}")
+    return args.rank
+
+
 def cmd_gl_demo(args):
+    max_r = _positive_rank(args, 5)
     if args.gl_params:
         try:
             with open(args.gl_params) as fh:
@@ -454,7 +463,6 @@ def cmd_gl_demo(args):
         grid = statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0]), "log")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    max_r = args.rank or 5
     xi = params.grid
 
     placement_path = os.path.join(outdir, "placement.csv")
@@ -498,7 +506,7 @@ def cmd_gl_demo(args):
 
 
 def cmd_scaling(args):
-    r_fixed = args.rank or 10
+    r_fixed = _positive_rank(args, 10)
     out = args.out or "scaling.csv"
     ns = (1000, 2000, 4000, 8000)
     rs = (5, 10, 20, 40)

@@ -79,13 +79,13 @@ def logdet_objective(indices, gram, side="sensor"):
     """
     if side not in ("sensor", "actuator"):
         raise ValueError(f"unknown side {side!r}")
-    gram = matkernel.as_complex(gram)
+    gram = matkernel.as_matrix(gram)
     return _principal_logdet(gram, indices)
 
 
 def trace_objective(indices, gram):
     """Trace of the principal submatrix (the H2-type objective)."""
-    gram = matkernel.as_complex(gram)
+    gram = matkernel.as_matrix(gram)
     idx = np.asarray(indices)
     return float(np.trace(gram[np.ix_(idx, idx)]).real)
 
@@ -114,6 +114,15 @@ def _batched_logdets(gram, index_array, batch=50000):
     return vals
 
 
+def _subset_values(gram, index_array, metric):
+    """The objective of each index row: log-det or trace of its principal
+    submatrix.  `cmd_bruteforce` scores its QR subset here too, so that the
+    subset's own enumerated entry is bit-identical to its score."""
+    if metric == "trace":
+        return gram.diagonal().real[index_array].sum(axis=1)
+    return _batched_logdets(gram, index_array)
+
+
 def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
     """Exhaustively enumerate all size-`budget` principal subset objectives.
 
@@ -124,7 +133,7 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
     """
     if metric not in ("logdet", "trace"):
         raise ValueError(f"unknown metric {metric!r}")
-    gram = matkernel.as_complex(gram)
+    gram = matkernel.as_matrix(gram)
     p = gram.shape[0]
     total = math.comb(p, budget)
     if total > cap:
@@ -137,13 +146,7 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
         dtype=np.intp,
         count=total * budget,
     ).reshape(total, budget)
-    if metric == "trace":
-        vals = gram.diagonal().real[index_array].sum(axis=1)
-    elif not np.any(gram.imag):
-        # Hermitian PSD submatrices of a real gramian are real; keep them so.
-        vals = _batched_logdets(gram.real, index_array)
-    else:
-        vals = _batched_logdets(gram, index_array)
+    vals = _subset_values(gram, index_array, metric)
     best = index_array[int(np.argmax(vals))]
     return best, vals
 
@@ -152,16 +155,13 @@ def random_ensemble(gram, budget, count, seed, qr_value=None):
     """Uniform random index subsets (without replacement) and their log-dets."""
     if count < 1:
         raise ValueError("need at least one sample")
-    gram = matkernel.as_complex(gram)
+    gram = matkernel.as_matrix(gram)
     p = gram.shape[0]
     rng = np.random.default_rng(seed)
     index_array = np.empty((count, budget), dtype=np.intp)
     for i in range(count):
         index_array[i] = rng.choice(p, size=budget, replace=False)
-    if not np.any(gram.imag):
-        vals = _batched_logdets(gram.real, index_array)
-    else:
-        vals = _batched_logdets(gram, index_array)
+    vals = _batched_logdets(gram, index_array)
     pct = percentile_strictly_below(vals, qr_value) if qr_value is not None else None
     return EnsembleStats(
         samples=vals,
@@ -189,8 +189,8 @@ def rank_sweeps(model, ranks, seeds, count=200):
     so they are computed once for all seeds.
     """
     grams = gramian.compute_gramians(model)
-    gram_sensor = matkernel.as_complex(model.c @ grams.w_c @ model.c.conj().T)
-    gram_actuator = matkernel.as_complex(model.b.conj().T @ grams.w_o @ model.b)
+    gram_sensor = model.c @ grams.w_c @ model.c.conj().T
+    gram_actuator = model.b.conj().T @ grams.w_o @ model.b
     qr_values = []
     for r in ranks:
         bal = balancing.balance(grams, r)

@@ -5,11 +5,11 @@ A W A* - W + M = 0 share one solver, `_solve_from_schur`; a `discrete` flag
 picks the stability and ill-posedness tests on the Schur diagonal and the
 leaf of the recursive blocked triangular kernel `_tri_solve`, which solves
 blocks of at most _LEAF with ZTRSYL (Lyapunov) or a ZTRTRS column sweep
-(Stein).  Complex Schur form serves real and complex systems alike.
-`compute_gramians` factors A once per gramian pair and reads the Schur form
-of A* off it by a flip (see there).  The Riccati solver is Laub's
-ordered-Schur method on the Hamiltonian matrix with one Newton refinement
-step when the residual warrants it.
+(Stein).  Complex Schur form serves real and complex systems alike, and
+real data get a real solution.  `compute_gramians` factors A once per
+gramian pair and reads the Schur form of A* off it by a flip (see there).
+The Riccati solver is Laub's ordered-Schur method on the Hamiltonian
+matrix with one Newton refinement step when the residual warrants it.
 """
 
 import warnings
@@ -66,10 +66,10 @@ def _hermitize(w):
 
 
 def _real_if_real_inputs(w, *inputs):
-    """Strip pure-roundoff imaginary parts when every input was real."""
+    """Drop the pure-roundoff imaginary part of `w` when every input was real."""
     if any(np.any(x.imag) for x in inputs):
         return w
-    return w.real.astype(np.complex128)
+    return w.real
 
 
 def _sylvester_leaf(a, b, c):
@@ -155,8 +155,8 @@ def _solve_from_schur(u, t, m, discrete):
 
 
 def _solve(a, m, discrete):
-    a = matkernel.as_complex(a)
-    m = matkernel.as_complex(m)
+    a = matkernel.as_matrix(a)
+    m = matkernel.as_matrix(m)
     n = a.shape[0]
     if a.shape[1] != n or m.shape != (n, n):
         raise DimensionError("coefficient and right-hand side must be square, same size")
@@ -217,8 +217,8 @@ def empirical_gramians(direct, adjoint, weights, decay_tol=1e-6, decay_hard=1e-3
     relative norm is required (HorizonError otherwise), below `decay_tol`
     is expected (a warning is emitted in between).
     """
-    direct = matkernel.as_complex(direct)
-    adjoint = matkernel.as_complex(adjoint)
+    direct = matkernel.as_matrix(direct)
+    adjoint = matkernel.as_matrix(adjoint)
     weights = np.asarray(weights, dtype=float)
     steps = weights.size
     if direct.shape[1] % steps or adjoint.shape[1] % steps:
@@ -270,10 +270,10 @@ def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
     one Newton step (a Lyapunov solve on the closed loop) refines the
     iterate.
     """
-    a = matkernel.as_complex(a)
-    b = matkernel.as_complex(b)
-    q_weight = matkernel.as_complex(q_weight)
-    r_weight = matkernel.as_complex(r_weight)
+    a = matkernel.as_matrix(a)
+    b = matkernel.as_matrix(b)
+    q_weight = matkernel.as_matrix(q_weight)
+    r_weight = matkernel.as_matrix(r_weight)
     n = a.shape[0]
     if b.shape[0] != n or q_weight.shape != (n, n):
         raise DimensionError("incompatible Riccati dimensions")

@@ -1,12 +1,12 @@
-"""Dense linear-algebra kernels over complex scalars.
+"""Dense linear-algebra kernels over the real or the complex field.
 
-All routines treat real matrices as complex with zero imaginary part, so a
-single code path covers both fields and the adjoint is always the conjugate
-transpose; `svd` and `schur` factor a matrix with no imaginary part in real
-arithmetic and return the same complex factors.  The column-pivoted QR is
-implemented from scratch because the pivot sequence itself is the product
-the rest of the package consumes; SVD and Schur are thin wrappers around
-LAPACK with the conventions used here.
+Every routine keeps the field of its input (`as_matrix`): numpy and LAPACK
+pick real or complex arithmetic from the dtype, and the adjoint is always
+the conjugate transpose.  Only `schur` returns complex factors for a real
+matrix, whose real Schur form it splits by `rsf2csf`.  The column-pivoted
+QR is implemented from scratch because the pivot sequence itself is the
+product the rest of the package consumes; SVD and Schur are thin wrappers
+around LAPACK with the conventions used here.
 
 Every Schur decomposition runs with scipy's OpenBLAS at one thread
 (`_one_lapack_thread`).  numpy and scipy each bundle their own OpenBLAS,
@@ -52,12 +52,11 @@ __all__ = [
 _DOWNDATE_TOL = 1e-7
 
 
-def as_complex(a):
-    """Return `a` as a 2-D complex128 ndarray (copy only if needed)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    return a.astype(np.complex128, copy=False)
+def as_matrix(a):
+    """Return `a` as a 2-D ndarray in its own field (copy only if needed):
+    complex128 for complex input, float64 for real or integer input."""
+    a = np.atleast_2d(np.asarray(a))
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
 @dataclass
@@ -159,13 +158,12 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     -------
     PivotedQR
     """
-    v = as_complex(v)
-    m, n = v.shape
+    r = np.array(as_matrix(v), order="C")
+    m, n = r.shape
     if m == 0 or n == 0:
         raise DimensionError("pivoted_qr requires a nonempty matrix")
 
-    r = np.ascontiguousarray(v, dtype=np.complex128).copy()
-    q = np.eye(m, dtype=np.complex128)
+    q = np.eye(m, dtype=r.dtype)
     perm = np.arange(n)
     allowed = np.ones(n, dtype=bool)
     for j in forbidden:
@@ -260,11 +258,7 @@ def svd(a):
 
     Returns (u, s, v) with `v` (not its adjoint), s non-increasing.
     """
-    a = as_complex(a)
-    if not np.any(a.imag):
-        u, s, vh = np.linalg.svd(a.real, full_matrices=True)
-        return u.astype(np.complex128), s, vh.T.astype(np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    u, s, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
     return u, s, vh.conj().T
 
 
@@ -308,7 +302,7 @@ def schur(a):
     2x2 blocks are then split by `rsf2csf`, which is cheaper than the QR
     iteration in complex arithmetic.  LAPACK runs on one scipy BLAS thread.
     """
-    a = as_complex(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("schur requires a square matrix")
     try:
@@ -330,7 +324,7 @@ def eigvals(a):
 
 def logdet_abs(a):
     """log|det(a)| via the diagonal of an (unpivoted) QR factorization."""
-    a = as_complex(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("logdet_abs requires a square matrix")
     rdiag = np.abs(np.diag(np.linalg.qr(a, mode="r")))
@@ -341,8 +335,7 @@ def logdet_abs(a):
 
 def matrix_exponential_apply(a, t, x):
     """Evaluate e^{a t} x (scaling-and-squaring Pade expm, then apply)."""
-    a = as_complex(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("matrix exponential requires a square matrix")
-    x = np.asarray(x, dtype=np.complex128)
-    return sla.expm(a * t) @ x
+    return sla.expm(a * t) @ np.asarray(x)

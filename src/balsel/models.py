@@ -207,17 +207,17 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     not checked here: balancing it needs a stable A_K, and its gramian
     solve raises UnstableSystemError if it is not.
     """
-    a = matkernel.as_complex(a)
-    b2 = matkernel.as_complex(b2)
-    c2 = matkernel.as_complex(c2)
+    a = matkernel.as_matrix(a)
+    b2 = matkernel.as_matrix(b2)
+    c2 = matkernel.as_matrix(c2)
     n = a.shape[0]
     q = b2.shape[1]
     p = c2.shape[0]
-    q_hat = np.eye(n, dtype=np.complex128) if q_hat is None else matkernel.as_complex(q_hat)
-    r_hat = np.eye(q, dtype=np.complex128) if r_hat is None else matkernel.as_complex(r_hat)
-    w_cov = np.eye(n, dtype=np.complex128) if w_cov is None else matkernel.as_complex(w_cov)
+    q_hat = np.eye(n, dtype=np.complex128) if q_hat is None else matkernel.as_matrix(q_hat)
+    r_hat = np.eye(q, dtype=np.complex128) if r_hat is None else matkernel.as_matrix(r_hat)
+    w_cov = np.eye(n, dtype=np.complex128) if w_cov is None else matkernel.as_matrix(w_cov)
     v_cov = (
-        4e-8 * np.eye(p, dtype=np.complex128) if v_cov is None else matkernel.as_complex(v_cov)
+        4e-8 * np.eye(p, dtype=np.complex128) if v_cov is None else matkernel.as_matrix(v_cov)
     )
 
     x = gramian.solve_care(a, b2, q_hat, r_hat)
@@ -240,7 +240,7 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
 
 def _sqrtm_psd(m):
     """Hermitian PSD square root (for covariance/weight input channels)."""
-    m = matkernel.as_complex(m)
+    m = matkernel.as_matrix(m)
     lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     lam = np.clip(lam, 0.0, None)
     return (v * np.sqrt(lam)) @ v.conj().T
@@ -257,9 +257,9 @@ def closed_loop_assemble(a, b2, c2, controller, gamma, beta):
     selected sensors through v_cov^{1/2}; the output stacks the weighted
     state and actuation cost channels.
     """
-    a = matkernel.as_complex(a)
-    b2 = matkernel.as_complex(b2)
-    c2 = matkernel.as_complex(c2)
+    a = matkernel.as_matrix(a)
+    b2 = matkernel.as_matrix(b2)
+    c2 = matkernel.as_matrix(c2)
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
     n = a.shape[0]
@@ -280,14 +280,14 @@ def closed_loop_assemble(a, b2, c2, controller, gamma, beta):
     a_cl = np.block([[a, -bb @ fb], [lg @ cg, a_k]])
     b_cl = np.block(
         [
-            [w_half, np.zeros((n, r_s), dtype=np.complex128)],
-            [np.zeros((n, n), dtype=np.complex128), lg @ v_half_sel],
+            [w_half, np.zeros((n, r_s))],
+            [np.zeros((n, n)), lg @ v_half_sel],
         ]
     )
     c_cl = np.block(
         [
-            [q_half, np.zeros((n, n), dtype=np.complex128)],
-            [np.zeros((r_a, n), dtype=np.complex128), -r_half_sel @ fb],
+            [q_half, np.zeros((n, n))],
+            [np.zeros((r_a, n)), -r_half_sel @ fb],
         ]
     )
     return statespace.StateSpaceModel(a_cl, b_cl, c_cl, time_domain=statespace.CONTINUOUS)

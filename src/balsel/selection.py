@@ -102,7 +102,7 @@ def select_sensors(c, psi_r):
 
     Returns (gamma, r_diag) with gamma in pivot order.
     """
-    cp = matkernel.as_complex(c) @ matkernel.as_complex(psi_r)
+    cp = matkernel.as_matrix(c) @ matkernel.as_matrix(psi_r)
     return _pivots(cp.conj().T, cp.shape[1], "sensors")
 
 
@@ -112,7 +112,7 @@ def select_actuators(b, phi_r):
     The dual of `select_sensors`: the same pivoting on the adjoint's
     sampled modes.
     """
-    pb = matkernel.as_complex(phi_r).conj().T @ matkernel.as_complex(b)
+    pb = matkernel.as_matrix(phi_r).conj().T @ matkernel.as_matrix(b)
     return _pivots(pb, pb.shape[0], "actuators")
 
 
@@ -127,7 +127,7 @@ def select_noncollocated(
     actuator are skipped by the pivoting but still orthogonalized, so the
     sensor factorization stays valid.
     """
-    cp = matkernel.as_complex(c) @ matkernel.as_complex(psi_r)
+    cp = matkernel.as_matrix(c) @ matkernel.as_matrix(psi_r)
     beta, r_diag_b = select_actuators(b, phi_r)
     if sensor_locations is None:
         sensor_locations = np.arange(cp.shape[0])
@@ -150,7 +150,7 @@ def select_subsets(c, b, psi_r, phi_r, no_collocate=False, **location_maps):
 
 
 def _projection(basis, sampler, side_tag):
-    basis = matkernel.as_complex(basis)
+    basis = matkernel.as_matrix(basis)
     return ProjectionOperator(
         basis=basis, sampler=sampler, sampled_rows=sampler @ basis, side_tag=side_tag
     )
@@ -158,20 +158,19 @@ def _projection(basis, sampler, side_tag):
 
 def sensor_projection(c, psi_r, gamma):
     """Interpolation projector Psi_r (C_hat Psi_r)^{-1} C_hat onto span(Psi_r)."""
-    return _projection(psi_r, matkernel.as_complex(c)[np.asarray(gamma), :], "sensor")
+    return _projection(psi_r, matkernel.as_matrix(c)[np.asarray(gamma), :], "sensor")
 
 
 def actuator_projection(b, phi_r, beta):
     """Dual projector Phi_r (B_hat* Phi_r)^{-1} B_hat* onto span(Phi_r)."""
-    sampler = matkernel.as_complex(b)[:, np.asarray(beta)].conj().T
+    sampler = matkernel.as_matrix(b)[:, np.asarray(beta)].conj().T
     return _projection(phi_r, sampler, "actuator")
 
 
 def project_state(op, x):
     """Apply the interpolation projector to a state vector."""
-    x = np.asarray(x, dtype=np.complex128)
     try:
-        coeffs = np.linalg.solve(op.sampled_rows, op.sampler @ x)
+        coeffs = np.linalg.solve(op.sampled_rows, op.sampler @ np.asarray(x))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("sampled interpolation block is singular") from exc
     return op.basis @ coeffs
@@ -184,7 +183,7 @@ def _growth_factor(n_candidates, r):
 
 def pivot_inverse_norm_bound(u_matrix):
     """Upper bound on ||(S U)^{-1}||_2 over QR-pivot row selections S of U."""
-    u_matrix = matkernel.as_complex(u_matrix)
+    u_matrix = matkernel.as_matrix(u_matrix)
     p, r = u_matrix.shape
     return float(_growth_factor(p, r) / _smin(u_matrix, "the input"))
 
@@ -195,8 +194,8 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
     `form="explicit"` uses the sqrt(p-r+1) pivot-growth constant;
     `form="sqrt_p"` the looser sqrt(p) * 2^r restatement.
     """
-    c = matkernel.as_complex(c)
-    psi_r = matkernel.as_complex(psi_r)
+    c = matkernel.as_matrix(c)
+    psi_r = matkernel.as_matrix(psi_r)
     p = c.shape[0]
     r = psi_r.shape[1]
     hankel = np.asarray(hankel, dtype=float)
@@ -215,7 +214,7 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
 
 def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
     """Dual bound on ||z - P_B z||_2 for QR-selected actuators."""
-    b = matkernel.as_complex(b)
+    b = matkernel.as_matrix(b)
     return sensor_state_error_bound(b.conj().T, phi_r, hankel, form=form)
 
 
@@ -227,8 +226,8 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
     and `check` is true, the achieved objective is computed and the bound
     asserted against it.
     """
-    c = matkernel.as_complex(c)
-    psi_r = matkernel.as_complex(psi_r)
+    c = matkernel.as_matrix(c)
+    psi_r = matkernel.as_matrix(psi_r)
     p = c.shape[0]
     r = psi_r.shape[1]
     smin = _smin(c @ psi_r, "C Psi_r")
@@ -245,7 +244,7 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
 
 def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
     """Dual guaranteed lower bound for the actuator log-det objective."""
-    b = matkernel.as_complex(b)
+    b = matkernel.as_matrix(b)
     return sensor_logdet_lower_bound(b.conj().T, phi_r, hankel, beta, check)
 
 
@@ -256,8 +255,8 @@ def achieved_rank_r_logdet(mat, modes, hankel, indices, side="sensor"):
     side="actuator": the same formula on mat*, i.e.
     log|B_hat* (Phi S Phi*) B_hat| for B_hat = mat[:, indices].
     """
-    mat = matkernel.as_complex(mat)
-    modes = matkernel.as_complex(modes)
+    mat = matkernel.as_matrix(mat)
+    modes = matkernel.as_matrix(modes)
     r = modes.shape[1]
     sig = np.asarray(hankel, dtype=float)[:r]
     idx = np.asarray(indices)

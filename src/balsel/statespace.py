@@ -43,9 +43,9 @@ class StateSpaceModel:
     time_domain: str = CONTINUOUS
 
     def __post_init__(self):
-        self.a = matkernel.as_complex(self.a)
-        self.b = matkernel.as_complex(self.b)
-        self.c = matkernel.as_complex(self.c)
+        self.a = matkernel.as_matrix(self.a)
+        self.b = matkernel.as_matrix(self.b)
+        self.c = matkernel.as_matrix(self.c)
         n = self.a.shape[0]
         if self.a.shape[1] != n:
             raise DimensionError("state matrix must be square")

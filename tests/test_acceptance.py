@@ -23,6 +23,7 @@ from balsel import (
     selection,
     statespace,
 )
+from conftest import pivot_oracle
 
 
 def report(name, ok, detail=""):
@@ -210,22 +211,6 @@ class TestA3BalancingInvariants:
 
 
 # ------------------------------------------------------------------ A4
-
-
-def pivot_oracle(v, n_pivots):
-    v = np.asarray(v, dtype=complex)
-    chosen = []
-    for _ in range(n_pivots):
-        if chosen:
-            qb = np.linalg.qr(v[:, chosen])[0]
-            resid = v - qb @ (qb.conj().T @ v)
-        else:
-            resid = v
-        norms = np.linalg.norm(resid, axis=0)
-        norms[chosen] = -1.0
-        ties = np.nonzero(norms >= norms.max() * (1 - 1e-12))[0]
-        chosen.append(int(ties.min()))
-    return chosen
 
 
 class TestA4PivotingProperties:

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ class TestModelFormat:
         np.testing.assert_array_equal(back.c, m.c)
         assert back.time_domain == "discrete"
 
+    @pytest.mark.parametrize("field, dtype", [("real", np.float64), ("complex", np.complex128)])
+    def test_block_keeps_its_field(self, field, dtype):
+        entry = "0.5" if field == "real" else "0.5,0"
+        m = cli.read_model("model discrete\n" + f"matrix 1 1 {field}\n{entry}\n" * 3)
+        assert m.a.dtype == m.b.dtype == m.c.dtype == dtype
+        assert type(cli._parse_entry(entry, field)) is (float if field == "real" else complex)
+
 
 class TestKeyValueConfig:
     def test_parse(self):
@@ -189,10 +197,15 @@ class TestBadOptionValues:
               "--ensemble-count", "-1"], {}, None),
             (["bench-random", "--generate", "8,8,8,1", "--rank", "2",
               "--ensemble-count", "0"], {}, None),
+            (["gl-demo", "--rank", "-1"], {}, None),
+            (["gl-demo", "--rank", "0"], {}, None),
+            (["scaling", "--rank", "-3"], {}, None),
+            (["scaling", "--rank", "0"], {}, None),
         ],
         ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-freq-grid", "cap-env",
              "select-freq-grid", "select-freq-grid-negative", "ensemble-count-neg",
-             "ensemble-count-zero"],
+             "ensemble-count-zero", "gl-rank-neg", "gl-rank-zero", "scaling-rank-neg",
+             "scaling-rank-zero"],
     )
     def test_exit_3_without_output(self, tmp_path, capsys, monkeypatch, argv, env, cfg):
         for key, value in env.items():
@@ -315,6 +328,24 @@ class TestBruteforceCommand:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("metric", ["logdet", "trace"])
+    @pytest.mark.parametrize("seed", [2, 4, 10])
+    def test_qr_subset_not_below_its_own_entry(self, tmp_path, capsys, seed, metric):
+        # the QR subset is scored exactly as its enumerated entry, so that
+        # entry never counts as strictly below the QR value
+        out = tmp_path / "bf.csv"
+        spec = f"12,12,12,{seed},discrete"
+        assert run(["bruteforce", "--generate", spec, "--budget", "4",
+                    "--metric", metric, "--out", str(out)]) == 0
+        fields = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        qr_value = float(fields["qr_value"])
+        values = np.array([float(v) for v in out.read_text().splitlines()[1:-1]])
+        m = models.random_stable_system(12, 12, 12, seed, time_domain="discrete")
+        gamma = tuple(sorted(cli._select_on_model(m, 4, False)[2].gamma.tolist()))
+        own = list(itertools.combinations(range(12), 4)).index(gamma)
+        assert values[own] == qr_value
+        assert float(fields["percentile"]) == 100.0 * np.mean(values < qr_value)
 
 
 class TestBenchRandomCommand:

@@ -4,28 +4,11 @@ import scipy.linalg as sla
 
 from balsel import matkernel, models
 from balsel.errors import DimensionError, NumericError, SingularMatrixError
+from conftest import pivot_oracle
 
 
 def random_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
-def pivot_oracle(v, n_pivots):
-    """Step-wise argmax of residual norms by explicit orthogonal projection."""
-    v = np.asarray(v, dtype=complex)
-    chosen = []
-    for _ in range(n_pivots):
-        if chosen:
-            qb = np.linalg.qr(v[:, chosen])[0]
-            resid = v - qb @ (qb.conj().T @ v)
-        else:
-            resid = v
-        norms = np.linalg.norm(resid, axis=0)
-        norms[chosen] = -1.0
-        best = norms.max()
-        ties = np.nonzero(norms >= best * (1 - 1e-12))[0]
-        chosen.append(int(ties.min()))
-    return chosen
 
 
 def check_diag_dominance(r_factor):
@@ -183,11 +166,11 @@ class TestSVD:
 
     @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (6, 6)])
     def test_real_input_reconstructs(self, shape):
-        # a real matrix is factored in real arithmetic; the factors are
-        # still returned complex, with the same contract
+        # a real matrix is factored in real arithmetic and its factors
+        # stay real, with the same contract
         a = np.random.default_rng(10).standard_normal(shape)
         u, s, v = matkernel.svd(a)
-        assert u.dtype == v.dtype == np.complex128
+        assert u.dtype == v.dtype == np.float64
         sig = np.zeros(shape)
         k = min(shape)
         sig[:k, :k] = np.diag(s)
