@@ -3,20 +3,22 @@
 Every routine keeps the field of its input (`as_matrix`): numpy and LAPACK
 pick real or complex arithmetic from the dtype, and the adjoint is always
 the conjugate transpose.  Only `schur` returns complex factors for a real
-matrix, whose real Schur form it splits by `rsf2csf`.  The column-pivoted
-QR is implemented from scratch because the pivot sequence itself is the
-product the rest of the package consumes; SVD and Schur are thin wrappers
-around LAPACK with the conventions used here.
+matrix, whose real Schur form it splits by `rsf2csf`.  SVD and Schur are
+thin wrappers around LAPACK with the conventions used here.
 
-Every Schur decomposition runs with scipy's OpenBLAS at one thread
-(`_one_lapack_thread`).  numpy and scipy each bundle their own OpenBLAS,
-each with its own thread pool on the same CPUs.  The chain alternates
-numpy matrix products with scipy LAPACK calls, and while one pool works
-the other's idle workers keep spinning, so a two-thread LAPACK call waits
-at every barrier.  On a 2-CPU machine with both pools at two threads, CPU
-time measured about twice wall time, and a 200x200 complex Schur inside
-the Ginzburg-Landau pipeline took 2-2.5x as long as the same call alone.
-numpy's copy keeps its threads; the large SVDs and products need them.
+The column-pivoted QR is written here because its pivot sequence is the
+product the package consumes.  Its loop is swap-free: columns keep their
+positions, and each step applies its Householder reflector to all of them
+in place by one level-2 BLAS `gemv` and one `ger`, then stores it.  Q and R
+are formed from the stored reflectors only when read.
+
+Schur decompositions and the pivoting loop run with scipy's OpenBLAS at
+one thread (`_one_lapack_thread`).  numpy and scipy each bundle an OpenBLAS
+with its own thread pool on the same CPUs; while one pool works the other's
+idle workers spin, so a two-thread scipy call waits at every barrier.  On
+2 CPUs a 200x200 complex Schur in the Ginzburg-Landau pipeline took 2-2.5x
+as long as alone, and a 30x20000 GEMV 0.1-16 ms at two threads against
+0.2-0.6 ms at one.  numpy's copy keeps its threads for the large SVDs.
 """
 
 import contextlib
@@ -34,8 +36,8 @@ import scipy.linalg as sla
 
 from .errors import DimensionError, NumericError, SingularMatrixError
 
-# The pivoting loop is plain numpy; there is no compiled variant.  The flag
-# stays for callers that record which loop ran.
+# The pivoting loop has no compiled variant.  The flag stays for callers
+# that record which loop ran.
 _HAVE_NUMBA = False
 
 __all__ = [
@@ -47,9 +49,11 @@ __all__ = [
     "matrix_exponential_apply",
 ]
 
-# Relative threshold below which a downdated column norm is recomputed
-# from scratch (classical downdating loses accuracy through cancellation).
+# A downdated squared column norm at or below this fraction of its last
+# fresh value is recomputed (downdating loses accuracy by cancellation);
+# squared residual norms within _TIE_TOL of each other (relative) tie.
 _DOWNDATE_TOL = 1e-7
+_TIE_TOL = 1e-12
 
 
 def as_matrix(a):
@@ -63,134 +67,154 @@ def as_matrix(a):
 class PivotedQR:
     """Result of a column-pivoted QR factorization V P = Q R.
 
-    pivot_order is the full column permutation (pivoted columns first, in
-    the order they were chosen); r_diagonal holds |R_ii| for the performed
-    elimination steps and is non-increasing.
+    pivot_order is the full column permutation: the n_steps pivots in the
+    order they were chosen, then every other column in ascending original
+    order.  r_diagonal holds |R_kk| for the pivots and is non-increasing.
+    q_factor and r_factor are formed from the stored reflectors the first
+    time they are read, with R's diagonal real and nonnegative.
     """
 
-    q_factor: np.ndarray
-    r_factor: np.ndarray
     pivot_order: np.ndarray
     r_diagonal: np.ndarray
-    n_steps: int = field(default=0)
+    n_steps: int
+    reduced: np.ndarray = field(repr=False)  # Q* V, columns in original order
+    reflectors: list = field(repr=False)  # (w, tau) per step; None: no-op
 
-    @property
-    def permutation_matrix(self):
-        n = self.pivot_order.size
-        p = np.zeros((n, n))
-        p[self.pivot_order, np.arange(n)] = 1.0
-        return p
+    @functools.cached_property
+    def _factors(self):
+        # the tail columns get unpivoted reflections, so R is triangular
+        a, refl = self.reduced.copy(), list(self.reflectors)
+        with _one_lapack_thread():
+            for k in range(len(refl), min(a.shape)):
+                refl.append(_householder(a, k, self.pivot_order[k])[0])
+        q = np.eye(a.shape[0], dtype=a.dtype)
+        for k in reversed(range(len(refl))):
+            if refl[k] is not None:
+                w, tau = refl[k]
+                q[k:] -= np.multiply.outer(tau * w, w.conj() @ q[k:])
+        # unit phases moved from R's rows into Q's columns: real R_kk >= 0
+        r, s = np.triu(a[:, self.pivot_order]), min(a.shape)
+        d = r[range(s), range(s)]
+        u = np.divide(d, abs(d), out=np.ones_like(d), where=d != 0)
+        r[:s] *= u.conj()[:, None]
+        r[range(s), range(s)] = abs(d)
+        q[:, :s] *= u
+        return q, r
+
+    q_factor = property(lambda self: self._factors[0])
+    r_factor = property(lambda self: self._factors[1])
 
 
-def _factor_loop(r, q, perm, allowed, norms2, ref2, steps, rdiag, tol):
-    """Greedy pivoting loop: pick, swap and reflect up to `steps` columns.
+def _colnorms2(a):
+    """Squared 2-norms of the columns of `a`."""
+    # viewed as reals, a complex column is two adjacent real columns
+    f = np.ascontiguousarray(a).view(np.float64)
+    n2 = np.einsum("ij,ij->j", f, f)
+    return n2[0::2] + n2[1::2] if np.iscomplexobj(a) else n2
 
-    Returns the number of pivots chosen; their |R_kk| are in rdiag.
+
+def _abs2(x):
+    """Elementwise |x|^2."""
+    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
+
+
+def _householder(a, k, j):
+    """Reflect rows k.. of `a` so that column j is zero below row k.
+
+    H = I - tau w w* goes to every column in place by one BLAS `gemv` and
+    one `ger` (`gerc` over C) on the F-order view `a.T`; reduced columns are
+    zero in rows k.. and stay so.  Returns ((w, tau), |R_kk|), or
+    (None, 0.0) for a column that is already zero there.
     """
-    m, n = r.shape
-    nd = 0
-
-    def swap(k, j):
-        if j != k:
-            for arr in (perm, norms2, ref2):
-                arr[k], arr[j] = arr[j], arr[k]
-            tmp = r[:, k].copy()
-            r[:, k] = r[:, j]
-            r[:, j] = tmp
-
-    for k in range(steps):
-        cand = np.nonzero(allowed[perm[k:]])[0]
-        if cand.size == 0:
-            break
-        if k >= m:
-            # rows exhausted: remaining residuals are exactly zero, so the
-            # pivot order continues by the lowest-index rule alone
-            swap(k, k + int(cand[np.argmin(perm[k + cand])]))
-            rdiag[nd] = 0.0
-            nd += 1
-            continue
-        cnorms = norms2[k + cand]
-        best = cnorms.max()
-        ties = cand[cnorms == best]
-        swap(k, k + int(ties[np.argmin(perm[k + ties])]))
-
-        rdiag[nd] = _reflect_column(r, q, k)
-        nd += 1
-
-        if k + 1 < n:
-            row = r[k, k + 1 :]
-            norms2[k + 1 :] -= row.real**2 + row.imag**2
-            tail_norms = norms2[k + 1 :]
-            np.maximum(tail_norms, 0.0, out=tail_norms)
-            stale = tail_norms <= tol * ref2[k + 1 :]
-            if stale.any():
-                cols = k + 1 + np.nonzero(stale)[0]
-                blk = r[k + 1 :, cols]
-                fresh = np.einsum("ij,ij->j", blk.real, blk.real) + np.einsum(
-                    "ij,ij->j", blk.imag, blk.imag
-                )
-                norms2[cols] = fresh
-                ref2[cols] = fresh
-    return nd
+    x = a[k:, j]
+    nx = np.sqrt(np.vdot(x, x).real)
+    if nx == 0.0:
+        return None, nx
+    x0 = x[0].item()
+    beta = -(x0 / abs(x0) if x0 else 1.0) * nx
+    w = x.copy()
+    w[0] -= beta
+    tau = 1.0 / (nx * (nx + abs(x0)))  # 2 / ||w||^2
+    wc = w.conj()
+    rows = a.T[:, k:]
+    gemv, ger = sla.blas.get_blas_funcs(("gemv", "ger"), (a,))
+    ger(-tau, gemv(1.0, rows, wc), wc, a=rows, overwrite_a=True)
+    x[:] = 0.0
+    x[0] = beta
+    return (w, tau), nx
 
 
 def pivoted_qr(v, forbidden=(), max_pivots=None):
     """Businger-Golub column-pivoted QR factorization of `v`.
 
-    At each step the pivot is the residual column of largest 2-norm among
-    the not-yet-chosen columns (exact float ties broken by lowest original
-    column index).  Columns listed in `forbidden` (original indices) are
-    never chosen as pivots but are still orthogonalized against the chosen
-    ones, so the factorization V P = Q R remains exact.
+    Each step pivots on the not-yet-chosen column of largest residual
+    2-norm.  Ties go to the lowest original index (BLAS rounds equal columns
+    differently by position, hence `_TIE_TOL`), and once the rows are
+    exhausted that index rule alone decides.  Columns in `forbidden`
+    (original indices) are never chosen but are still orthogonalized, so
+    V P = Q R stays exact.
+
+    The loop is swap-free: columns keep their positions, a negative key
+    marks chosen and forbidden ones, and each step stores its reflector and
+    applies it to every column on scipy's BLAS at one thread.  Squared norms
+    are downdated from row k and recomputed once they fall to
+    `_DOWNDATE_TOL` of their last fresh value.
 
     Parameters
     ----------
     v : (m, n) array_like
     forbidden : iterable of int, optional
-        Original column indices excluded from pivoting.
+        Original column indices in [0, n) excluded from pivoting.
     max_pivots : int, optional
         Choose at most this many pivots (default: as many as possible).
-        The factorization is still completed with unpivoted reflections
-        afterwards, so V P = Q R always holds with triangular R; only the
-        first `n_steps` columns carry pivot semantics.
+        Reading the factors completes them with unpivoted reflections of
+        the remaining columns, so V P = Q R always holds with triangular R;
+        only the first `n_steps` columns carry pivot semantics.
 
     Returns
     -------
     PivotedQR
     """
-    r = np.array(as_matrix(v), order="C")
-    m, n = r.shape
+    a = np.array(as_matrix(v), order="C")
+    m, n = a.shape
     if m == 0 or n == 0:
         raise DimensionError("pivoted_qr requires a nonempty matrix")
+    cols = np.asarray(list(forbidden)).ravel()
+    if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n):
+        raise DimensionError(f"forbidden columns must be indices in [0, {n})")
+    if max_pivots is not None and max_pivots < 0:
+        raise DimensionError(f"max_pivots must be nonnegative, got {max_pivots}")
 
-    q = np.eye(m, dtype=r.dtype)
-    perm = np.arange(n)
-    allowed = np.ones(n, dtype=bool)
-    for j in forbidden:
-        allowed[j] = False
-
-    norms2 = np.einsum("ij,ij->j", r.real, r.real) + np.einsum(
-        "ij,ij->j", r.imag, r.imag
-    )
-    ref2 = norms2.copy()
-
-    steps = n if max_pivots is None else min(max_pivots, n)
+    cols = cols.astype(np.intp)
+    live = np.ones(n, dtype=bool)
+    live[cols] = False
+    key = _colnorms2(a)  # squared residual norms
+    floor = _DOWNDATE_TOL * key  # a key at or below its floor is stale
+    key[cols], floor[cols] = -1.0, -np.inf
+    steps = min(np.count_nonzero(live), n if max_pivots is None else max_pivots)
     rdiag = np.zeros(steps)
-    nd = _factor_loop(r, q, perm, allowed, norms2, ref2, steps, rdiag, _DOWNDATE_TOL)
+    piv, refl = [], []
+    with _one_lapack_thread():
+        for k in range(min(steps, m)):
+            j = int(np.argmax(key >= key.max() * (1.0 - _TIE_TOL)))
+            piv.append(j)
+            h, rdiag[k] = _householder(a, k, j)
+            refl.append(h)
+            live[j] = False
+            if k + 1 == min(steps, m):
+                break  # the keys are not read again
+            key[j], floor[j] = -1.0, -np.inf
+            key -= _abs2(a[k])
+            stale = np.flatnonzero(key <= floor)
+            if stale.size:
+                key[stale] = _colnorms2(a[k + 1 :, stale])
+                floor[stale] = _DOWNDATE_TOL * key[stale]
 
-    # the pivoted prefix may stop early (max_pivots, or allowed columns
-    # exhausted); the remaining columns still need unpivoted reflections so
-    # that V P = Q R holds with a triangular R
-    for k in range(int(nd), min(m, n)):
-        _reflect_column(r, q, k)
-
-    return PivotedQR(
-        q_factor=q,
-        r_factor=np.triu(r),
-        pivot_order=perm,
-        r_diagonal=rdiag[:nd],
-        n_steps=int(nd),
-    )
+    # past row m every residual is zero: the lowest allowed indices follow
+    piv = np.concatenate([np.array(piv, dtype=np.intp), np.flatnonzero(live)[: steps - len(piv)]])
+    rest = np.ones(n, dtype=bool)
+    rest[piv] = False
+    return PivotedQR(np.concatenate([piv, np.flatnonzero(rest)]), rdiag, steps, a, refl)
 
 
 def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):
@@ -225,32 +249,6 @@ def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):
     finally:
         gc.enable()
     return best
-
-
-def _reflect_column(r, q, k):
-    """Apply one Householder step at column k (updates r and q in place).
-
-    The reflector zeroes r[k+1:, k] and leaves r[k, k] real nonnegative; it
-    is Hermitian, so it is applied to R rows k.. and accumulated into Q.
-    Returns |R_kk|, the norm of the column below the diagonal.
-    """
-    x = r[k:, k]
-    nx = np.sqrt(np.vdot(x, x).real)
-    if nx == 0.0:
-        return nx
-    phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-    beta = -phase * nx
-    w = x.copy()
-    w[0] -= beta
-    tau = 2.0 / np.vdot(w, w).real
-    wc = w.conj()
-    r[k:, k:] -= np.multiply.outer(tau * w, wc @ r[k:, k:])
-    q[:, k:] -= np.multiply.outer(q[:, k:] @ (tau * w), wc)
-    dphase = np.conj(beta) / nx
-    r[k, k:] *= dphase
-    q[:, k] *= np.conj(dphase)
-    r[k, k] = nx
-    return nx
 
 
 def svd(a):

@@ -78,15 +78,25 @@ def _smin(mat, what, rtol=0.0):
     return sv[-1]
 
 
+def _check_candidates(p, r, what):
+    """DimensionError unless there are at least r of the p candidates."""
+    if p < r:
+        raise DimensionError(f"need at least r={r} candidate {what}, have {p}")
+
+
+def _norm2(mat):
+    """Spectral norm, from the largest eigenvalue of the short-side Gram."""
+    gram = mat.conj().T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def _pivots(v, r, what, forbidden=()):
     """First r pivots and |R_kk| of the pivoted QR of the sampled modes `v`.
 
     `v` is r x (candidates): (C Psi_r)* for sensors, Phi_r* B for
     actuators.  Columns in `forbidden` are never chosen.
     """
-    p = v.shape[1]
-    if p < r:
-        raise DimensionError(f"need at least r={r} candidate {what}, have {p}")
+    _check_candidates(v.shape[1], r, what)
     _smin(v, f"sampled modes of the {what}", rtol=1e-12)
     fac = matkernel.pivoted_qr(v, forbidden, max_pivots=r)
     if fac.n_steps < r:
@@ -185,6 +195,7 @@ def pivot_inverse_norm_bound(u_matrix):
     """Upper bound on ||(S U)^{-1}||_2 over QR-pivot row selections S of U."""
     u_matrix = matkernel.as_matrix(u_matrix)
     p, r = u_matrix.shape
+    _check_candidates(p, r, "rows")
     return float(_growth_factor(p, r) / _smin(u_matrix, "the input"))
 
 
@@ -194,15 +205,26 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
     `form="explicit"` uses the sqrt(p-r+1) pivot-growth constant;
     `form="sqrt_p"` the looser sqrt(p) * 2^r restatement.
     """
+    return _state_error_bound(c, psi_r, hankel, form, "sensors")
+
+
+def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
+    """Dual bound on ||z - P_B z||_2 for QR-selected actuators."""
+    b = matkernel.as_matrix(b)
+    return _state_error_bound(b.conj().T, phi_r, hankel, form, "actuators")
+
+
+def _state_error_bound(c, psi_r, hankel, form, what):
     c = matkernel.as_matrix(c)
     psi_r = matkernel.as_matrix(psi_r)
     p = c.shape[0]
     r = psi_r.shape[1]
+    _check_candidates(p, r, what)
     hankel = np.asarray(hankel, dtype=float)
     tail = 2.0 * np.sum(hankel[r:])
     smin = _smin(c @ psi_r, "C Psi_r")
-    norm_c = np.linalg.norm(c, 2)
-    norm_psi = np.linalg.norm(psi_r, 2)
+    norm_c = _norm2(c)
+    norm_psi = _norm2(psi_r)
     if form == "explicit":
         growth = _growth_factor(p, r)
     elif form == "sqrt_p":
@@ -210,12 +232,6 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
     else:
         raise ValueError(f"unknown bound form {form!r}")
     return float(norm_c * norm_psi / smin * growth * tail)
-
-
-def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
-    """Dual bound on ||z - P_B z||_2 for QR-selected actuators."""
-    b = matkernel.as_matrix(b)
-    return sensor_state_error_bound(b.conj().T, phi_r, hankel, form=form)
 
 
 def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
@@ -226,10 +242,21 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
     and `check` is true, the achieved objective is computed and the bound
     asserted against it.
     """
+    return _logdet_lower_bound(c, psi_r, hankel, gamma, check, "sensors")
+
+
+def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
+    """Dual guaranteed lower bound for the actuator log-det objective."""
+    b = matkernel.as_matrix(b)
+    return _logdet_lower_bound(b.conj().T, phi_r, hankel, beta, check, "actuators")
+
+
+def _logdet_lower_bound(c, psi_r, hankel, gamma, check, what):
     c = matkernel.as_matrix(c)
     psi_r = matkernel.as_matrix(psi_r)
     p = c.shape[0]
     r = psi_r.shape[1]
+    _check_candidates(p, r, what)
     smin = _smin(c @ psi_r, "C Psi_r")
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
@@ -240,12 +267,6 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
                 f"log-det lower bound {bound} exceeds achieved {achieved}"
             )
     return bound
-
-
-def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
-    """Dual guaranteed lower bound for the actuator log-det objective."""
-    b = matkernel.as_matrix(b)
-    return sensor_logdet_lower_bound(b.conj().T, phi_r, hankel, beta, check)
 
 
 def achieved_rank_r_logdet(mat, modes, hankel, indices, side="sensor"):

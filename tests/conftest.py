@@ -4,9 +4,10 @@ import pytest
 from balsel import matkernel
 
 
-def pivot_oracle(v, n_pivots):
+def pivot_oracle(v, n_pivots, forbidden=()):
     """Step-wise argmax of residual norms by explicit orthogonal projection
-    (exact ties, to 1e-12 relative, go to the lowest column index)."""
+    (exact ties, to 1e-12 relative, go to the lowest column index); columns
+    in `forbidden` are never chosen."""
     v = np.asarray(v, dtype=complex)
     chosen = []
     for _ in range(n_pivots):
@@ -16,7 +17,7 @@ def pivot_oracle(v, n_pivots):
         else:
             resid = v
         norms = np.linalg.norm(resid, axis=0)
-        norms[chosen] = -1.0
+        norms[chosen + list(forbidden)] = -1.0
         ties = np.nonzero(norms >= norms.max() * (1 - 1e-12))[0]
         chosen.append(int(ties.min()))
     return chosen

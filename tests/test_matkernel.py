@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsel import matkernel, models
 from balsel.errors import DimensionError, NumericError, SingularMatrixError
@@ -91,6 +93,25 @@ class TestPivotedQR:
         assert not set(fac.pivot_order[: fac.n_steps].tolist()) & set(forbidden)
         err = np.linalg.norm(v[:, fac.pivot_order] - fac.q_factor @ fac.r_factor)
         assert err <= 1e-10 * np.linalg.norm(v)
+
+    def test_duplicated_columns_tie_to_lowest_index(self):
+        # a duplicated column ties exactly with its twin at every step
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            v = random_complex(rng, 10, 5) if seed % 2 else rng.standard_normal((10, 5))
+            src, dst = rng.choice(5, size=2, replace=False)
+            v[:, dst] = v[:, src]
+            assert matkernel.pivoted_qr(v).pivot_order[:4].tolist() == pivot_oracle(v, 4)
+
+    def test_stale_norms_are_recomputed(self):
+        # two columns within 1e-8 of the first pivot: their downdated norms
+        # are pure cancellation, and only the recomputed ones order them
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal(5)
+            near = [a + 1e-8 * rng.standard_normal(5) for _ in range(2)]
+            v = np.column_stack([a, *near, rng.standard_normal(5)])
+            assert matkernel.pivoted_qr(v).pivot_order.tolist() == pivot_oracle(v, 4)
 
     def test_real_input_stays_real(self):
         fac = matkernel.pivoted_qr(np.random.default_rng(5).standard_normal((4, 6)))
@@ -325,3 +346,121 @@ class TestMatrixExponentialApply:
             np.diag([-1.0, -2.0]), 0.5, [1.0, 1.0]
         )
         np.testing.assert_allclose(out, [np.exp(-0.5), np.exp(-1.0)], rtol=1e-12)
+
+
+class TestPivotingArguments:
+    @pytest.mark.parametrize("forbidden", [[-1], [6], [0, 2.0], np.ones(6, dtype=bool)])
+    def test_bad_forbidden_raises(self, forbidden):
+        v = np.random.default_rng(20).standard_normal((3, 6))
+        with pytest.raises(DimensionError, match="forbidden"):
+            matkernel.pivoted_qr(v, forbidden=forbidden)
+
+    def test_negative_max_pivots_raises(self):
+        with pytest.raises(DimensionError, match="max_pivots"):
+            matkernel.pivoted_qr(np.eye(3), max_pivots=-2)
+
+    def test_tail_in_ascending_order(self):
+        v = np.random.default_rng(21).standard_normal((3, 9))
+        fac = matkernel.pivoted_qr(v, forbidden=[8, 1], max_pivots=2)
+        tail = fac.pivot_order[2:].tolist()
+        assert tail == sorted(set(range(9)) - set(fac.pivot_order[:2].tolist()))
+
+    def test_rows_exhausted_lowest_index(self):
+        v = np.random.default_rng(22).standard_normal((2, 7))
+        fac = matkernel.pivoted_qr(v, forbidden=[0], max_pivots=5)
+        rest = sorted(set(range(1, 7)) - set(fac.pivot_order[:2].tolist()))
+        assert fac.pivot_order[2:5].tolist() == rest[:3]
+        assert fac.r_diagonal[2:].tolist() == [0.0, 0.0, 0.0]
+
+
+@st.composite
+def pivoting_inputs(draw):
+    """A random (m, n) matrix, real or complex, with drawn structure:
+    duplicated columns (exact ties), columns within 1e-5..1e-8 of another
+    (their downdated norms go stale), zero columns, a forbidden set and a
+    pivot limit."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        v = v + 1j * rng.standard_normal((m, n))
+    col = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(col, col), max_size=3)):
+        v[:, dst] = v[:, src]
+    for src, dst, eps in draw(
+        st.lists(st.tuples(col, col, st.sampled_from([1e-5, 1e-7, 1e-8])), max_size=2)
+    ):
+        if src != dst:
+            v[:, dst] = v[:, src] + eps * np.linalg.norm(v[:, src]) * rng.standard_normal(m)
+    for dst in draw(st.lists(col, max_size=2)):
+        v[:, dst] = 0.0
+    forbidden = sorted(draw(st.sets(col, max_size=n)))
+    max_pivots = draw(st.none() | st.integers(0, min(m, n)))
+    return v, forbidden, max_pivots
+
+
+def determined_pivots(v, forbidden, fac):
+    """How many leading pivots the numbers decide: up to the numerical rank
+    of the allowed columns (beyond it every residual is roundoff)."""
+    allowed = [j for j in range(v.shape[1]) if j not in set(forbidden)]
+    rank = np.linalg.matrix_rank(v[:, allowed], tol=1e-10 * max(np.linalg.norm(v), 1e-300))
+    return min(fac.n_steps, int(rank))
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestPivotingProperties:
+    @PROPERTY
+    @given(pivoting_inputs())
+    def test_pivots_match_oracle(self, case):
+        v, forbidden, max_pivots = case
+        fac = matkernel.pivoted_qr(v, forbidden, max_pivots)
+        allowed = v.shape[1] - len(forbidden)
+        assert fac.n_steps == min(allowed, v.shape[1] if max_pivots is None else max_pivots)
+        assert not set(fac.pivot_order[: fac.n_steps].tolist()) & set(forbidden)
+        k = determined_pivots(v, forbidden, fac)
+        assert fac.pivot_order[:k].tolist() == pivot_oracle(v, k, forbidden)
+
+    @PROPERTY
+    @given(pivoting_inputs())
+    def test_r_diagonal_matches_unpivoted_qr(self, case):
+        v, forbidden, max_pivots = case
+        fac = matkernel.pivoted_qr(v, forbidden, max_pivots)
+        steps = min(fac.n_steps, v.shape[0])
+        ref = np.abs(np.diag(np.linalg.qr(v[:, fac.pivot_order], mode="r")))[:steps]
+        scale = max(1.0, np.linalg.norm(v))
+        np.testing.assert_allclose(fac.r_diagonal[:steps], ref, rtol=0, atol=1e-10 * scale)
+        assert not fac.r_diagonal[steps:].any()
+
+    @PROPERTY
+    @given(pivoting_inputs())
+    def test_factors_reconstruct_and_q_unitary(self, case):
+        v, forbidden, max_pivots = case
+        fac = matkernel.pivoted_qr(v, forbidden, max_pivots)
+        q, r = fac.q_factor, fac.r_factor
+        scale = max(1.0, np.linalg.norm(v))
+        assert np.linalg.norm(v[:, fac.pivot_order] - q @ r) <= 1e-12 * scale
+        assert np.linalg.norm(q.conj().T @ q - np.eye(v.shape[0])) <= 1e-12
+        assert not np.tril(r, -1).any()
+        assert np.all(np.diag(r).real >= 0.0) and not np.diag(r).imag.any()
+
+    @PROPERTY
+    @given(pivoting_inputs(), st.sampled_from([1e-8, 1e8]))
+    def test_pivots_scale_invariant(self, case, scale):
+        v, forbidden, max_pivots = case
+        fac = matkernel.pivoted_qr(v, forbidden, max_pivots)
+        scaled = matkernel.pivoted_qr(scale * v, forbidden, max_pivots)
+        k = determined_pivots(v, forbidden, fac)
+        assert scaled.pivot_order[:k].tolist() == fac.pivot_order[:k].tolist()
+
+    @PROPERTY
+    @given(pivoting_inputs())
+    def test_reading_factors_keeps_pivots(self, case):
+        v, forbidden, max_pivots = case
+        fac = matkernel.pivoted_qr(v, forbidden, max_pivots)
+        order, rdiag = fac.pivot_order.copy(), fac.r_diagonal.copy()
+        fac.q_factor, fac.r_factor
+        np.testing.assert_array_equal(fac.pivot_order, order)
+        np.testing.assert_array_equal(fac.r_diagonal, rdiag)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balsel import balancing, evaluation, gramian, selection
-from balsel.errors import FeasibilityError, NumericError
+from balsel.errors import DimensionError, FeasibilityError, NumericError
 from balsel.models import random_stable_system
 from balsel.statespace import StateSpaceModel
 
@@ -283,6 +283,48 @@ class TestBounds:
         ls = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, gamma)
         la = selection.actuator_logdet_lower_bound(m.b, bal.phi_r, bal.hankel, beta)
         assert ls == pytest.approx(la, rel=1e-6)
+
+
+class TestBoundsNeedCandidates:
+    """Fewer candidates than the rank: every bound raises, none returns nan."""
+
+    RNG = np.random.default_rng(90)
+    MODES = RNG.standard_normal((6, 3))
+    FEW = RNG.standard_normal((2, 6))  # 2 candidate rows for r = 3
+    HANKEL = np.array([3.0, 2.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda t: selection.pivot_inverse_norm_bound(t.FEW @ t.MODES), "rows"),
+            (lambda t: selection.sensor_state_error_bound(t.FEW, t.MODES, t.HANKEL), "sensors"),
+            (lambda t: selection.actuator_state_error_bound(t.FEW.T, t.MODES, t.HANKEL), "actuators"),
+            (lambda t: selection.sensor_logdet_lower_bound(t.FEW, t.MODES, t.HANKEL), "sensors"),
+            (lambda t: selection.actuator_logdet_lower_bound(t.FEW.T, t.MODES, t.HANKEL), "actuators"),
+        ],
+        ids=["pivot_inverse_norm", "sensor_state", "actuator_state", "sensor_logdet", "actuator_logdet"],
+    )
+    def test_raises_dimension_error(self, call, what):
+        with pytest.raises(DimensionError, match=f"need at least r=3 candidate {what}, have 2"):
+            call(self)
+
+
+class TestStateErrorBoundNorms:
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_matches_full_svd_norms(self, field):
+        # ||C||_2 and ||Psi_r||_2 come from short-side Gram matrices
+        rng = np.random.default_rng(91)
+        c = rng.standard_normal((40, 7)).astype(field)
+        psi = rng.standard_normal((7, 3)).astype(field)
+        if field is complex:
+            c += 1j * rng.standard_normal(c.shape)
+            psi += 1j * rng.standard_normal(psi.shape)
+        hankel = np.array([4.0, 2.0, 1.0, 0.3, 0.1])
+        sv = np.linalg.svd(c @ psi, compute_uv=False)
+        growth = np.sqrt(40 - 3 + 1.0) * np.sqrt(4.0**3 + 6.0 * 3 - 1.0) / 3.0
+        expected = np.linalg.norm(c, 2) * np.linalg.norm(psi, 2) / sv[-1] * growth * 0.8
+        got = selection.sensor_state_error_bound(c, psi, hankel)
+        assert got == pytest.approx(expected, rel=1e-13)
 
 
 class TestGreedyVolume:
