@@ -36,8 +36,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionError, NumericError, SingularMatrixError
 
-# The pivoting loop has no compiled variant.  The flag stays for callers
-# that record which loop ran.
+# No compiled pivoting loop exists; the flag stays for callers that record it.
 _HAVE_NUMBA = False
 
 __all__ = [
@@ -189,6 +188,8 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     live = np.ones(n, dtype=bool)
     live[cols] = False
     key = _colnorms2(a)  # squared residual norms
+    if not np.isfinite(key).all():
+        raise DimensionError("pivoted_qr input has nan, inf or overflowing columns")
     floor = _DOWNDATE_TOL * key  # a key at or below its floor is stale
     key[cols], floor[cols] = -1.0, -np.inf
     steps = min(np.count_nonzero(live), n if max_pivots is None else max_pivots)

@@ -355,6 +355,13 @@ class TestPivotingArguments:
         with pytest.raises(DimensionError, match="forbidden"):
             matkernel.pivoted_qr(v, forbidden=forbidden)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_input_raises(self, bad):
+        v = np.random.default_rng(23).standard_normal((3, 5))
+        v[1, 2] = bad
+        with pytest.raises(DimensionError, match="nan, inf or overflowing"):
+            matkernel.pivoted_qr(v)
+
     def test_negative_max_pivots_raises(self):
         with pytest.raises(DimensionError, match="max_pivots"):
             matkernel.pivoted_qr(np.eye(3), max_pivots=-2)
