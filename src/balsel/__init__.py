@@ -29,7 +29,7 @@ from .gramian import (
     solve_lyapunov_continuous,
     solve_stein,
 )
-from .matkernel import PivotedQR, logdet_abs, matrix_exponential_apply, pivoted_qr, schur, svd
+from .matkernel import PivotedQR, logdet_abs, pivoted_qr, schur, svd
 from .models import (
     GinzburgLandauParams,
     LQGController,

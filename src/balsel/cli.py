@@ -18,6 +18,7 @@ Indices printed by commands are 1-based; exit codes are 0 (ok),
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -333,9 +334,10 @@ def cmd_select(args):
         raise FormatError("--rank (or --budget) is required")
     grid = _freq_grid(args) if args.metric == "h2" else None
     grams, bal, sel = _select_on_model(m, r, args.no_collocate)
-    gram_sensor = m.c @ grams.w_c @ m.c.conj().T
-    gram_actuator = m.b.conj().T @ grams.w_o @ m.b
-    report = evaluation.objective_report(sel, gram_sensor, gram_actuator)
+    # score the r x r sampled blocks, never the p x p and q x q products
+    c_hat, b_hat, own = m.c[sel.gamma], m.b[:, sel.beta], np.arange(r)
+    blocks = (c_hat @ grams.w_c @ c_hat.conj().T, b_hat.conj().T @ grams.w_o @ b_hat)
+    report = evaluation.objective_report(dataclasses.replace(sel, gamma=own, beta=own), *blocks)
     if args.metric == "h2":  # before any output; compute_gramians proved stability
         h2 = (statespace._h2_from_gramians(m, grams, 1e-8), statespace._h2_from_frequency(m, grid))
 

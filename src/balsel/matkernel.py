@@ -45,7 +45,6 @@ __all__ = [
     "svd",
     "schur",
     "logdet_abs",
-    "matrix_exponential_apply",
 ]
 
 # A downdated squared column norm at or below this fraction of its last
@@ -83,9 +82,10 @@ class PivotedQR:
     def _factors(self):
         # the tail columns get unpivoted reflections, so R is triangular
         a, refl = self.reduced.copy(), list(self.reflectors)
+        blas, buf = sla.blas.get_blas_funcs(("gemv", "ger"), (a,)), np.empty_like(a[0])
         with _one_lapack_thread():
             for k in range(len(refl), min(a.shape)):
-                refl.append(_householder(a, k, self.pivot_order[k])[0])
+                refl.append(_householder(a, k, self.pivot_order[k], *blas, buf)[0])
         q = np.eye(a.shape[0], dtype=a.dtype)
         for k in reversed(range(len(refl))):
             if refl[k] is not None:
@@ -112,18 +112,21 @@ def _colnorms2(a):
     return n2[0::2] + n2[1::2] if np.iscomplexobj(a) else n2
 
 
-def _abs2(x):
-    """Elementwise |x|^2."""
-    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
+def _abs2(x, buf):
+    """Elementwise |x|^2 into the leading floats of `buf` (x's dtype)."""
+    f, n = buf.view(np.float64), x.size
+    if not np.iscomplexobj(x):
+        return np.square(x, out=f)
+    return np.add(np.square(x.real, out=f[:n]), np.square(x.imag, out=f[n:]), out=f[:n])
 
 
-def _householder(a, k, j):
+def _householder(a, k, j, gemv, ger, buf):
     """Reflect rows k.. of `a` so that column j is zero below row k.
 
-    H = I - tau w w* goes to every column in place by one BLAS `gemv` and
-    one `ger` (`gerc` over C) on the F-order view `a.T`; reduced columns are
-    zero in rows k.. and stay so.  Returns ((w, tau), |R_kk|), or
-    (None, 0.0) for a column that is already zero there.
+    H = I - tau w w* goes to every column in place by one BLAS `gemv` into
+    `buf` and one `ger` (`gerc` over C) on the F-order view `a.T`; reduced
+    columns are zero in rows k.. and stay so.  Returns ((w, tau), |R_kk|),
+    or (None, 0.0) for a column that is already zero there.
     """
     x = a[k:, j]
     nx = np.sqrt(np.vdot(x, x).real)
@@ -136,8 +139,7 @@ def _householder(a, k, j):
     tau = 1.0 / (nx * (nx + abs(x0)))  # 2 / ||w||^2
     wc = w.conj()
     rows = a.T[:, k:]
-    gemv, ger = sla.blas.get_blas_funcs(("gemv", "ger"), (a,))
-    ger(-tau, gemv(1.0, rows, wc), wc, a=rows, overwrite_a=True)
+    ger(-tau, gemv(1.0, rows, wc, y=buf, overwrite_y=True), wc, a=rows, overwrite_a=True)
     x[:] = 0.0
     x[0] = beta
     return (w, tau), nx
@@ -195,22 +197,25 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     steps = min(np.count_nonzero(live), n if max_pivots is None else max_pivots)
     rdiag = np.zeros(steps)
     piv, refl = [], []
+    blas, buf = sla.blas.get_blas_funcs(("gemv", "ger"), (a,)), np.empty_like(a[0])
     with _one_lapack_thread():
         for k in range(min(steps, m)):
-            j = int(np.argmax(key >= key.max() * (1.0 - _TIE_TOL)))
+            j = int(np.argmax(key))  # the first maximum; ties sit left of it
+            j = int(np.argmax(key[: j + 1] >= key[j] * (1.0 - _TIE_TOL)))
             piv.append(j)
-            h, rdiag[k] = _householder(a, k, j)
+            h, rdiag[k] = _householder(a, k, j, *blas, buf)
             refl.append(h)
             live[j] = False
             if k + 1 == min(steps, m):
                 break  # the keys are not read again
             key[j], floor[j] = -1.0, -np.inf
-            key -= _abs2(a[k])
+            key -= _abs2(a[k], buf)
             stale = np.flatnonzero(key <= floor)
             if stale.size:
                 key[stale] = _colnorms2(a[k + 1 :, stale])
                 floor[stale] = _DOWNDATE_TOL * key[stale]
 
+    del buf, key, floor  # freed before the index arrays below: a lower peak
     # past row m every residual is zero: the lowest allowed indices follow
     piv = np.concatenate([np.array(piv, dtype=np.intp), np.flatnonzero(live)[: steps - len(piv)]])
     rest = np.ones(n, dtype=bool)
@@ -330,11 +335,3 @@ def logdet_abs(a):
     if rdiag[0] == 0.0 or np.any(rdiag < 1e-14 * rdiag[0]):
         raise SingularMatrixError("matrix is singular to working precision")
     return float(np.sum(np.log(rdiag)))
-
-
-def matrix_exponential_apply(a, t, x):
-    """Evaluate e^{a t} x (scaling-and-squaring Pade expm, then apply)."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("matrix exponential requires a square matrix")
-    return sla.expm(a * t) @ np.asarray(x)

@@ -5,6 +5,11 @@ actuators the first r pivots of a pivoted QR of Phi_r* B; both greedily
 maximize the volume of the selected submatrix.  The bound evaluators give
 a priori guarantees for the resulting interpolation error and log-det
 objective in terms of the discarded Hankel singular values.
+
+Singular values of sampled modes come from their r x r short-side Gram
+matrix, one GEMM instead of a tall SVD; sigma_min is read there only while
+lambda_min > _GRAM_TOL lambda_max, where squaring costs about eps kappa^2
+relative (Higham, Accuracy and Stability, 2nd ed., sec. 20), else the SVD.
 """
 
 from dataclasses import dataclass
@@ -37,6 +42,8 @@ __all__ = [
     "actuator_logdet_lower_bound",
 ]
 
+_GRAM_TOL = 1e-4  # lambda_min / lambda_max at or below which _smin takes the SVD
+
 
 @dataclass
 class SelectionResult:
@@ -67,12 +74,19 @@ class ProjectionOperator:
         return float(np.linalg.cond(self.sampled_rows))
 
 
+def _gram_eigvalsh(mat):
+    """Squared singular values, ascending, from the short-side Gram."""
+    gram = mat.conj().T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.conj().T
+    return np.linalg.eigvalsh(gram)
+
+
 def _smin(mat, what, rtol=0.0):
     """Smallest singular value of `mat`; RankError when it is at most
-    `rtol` times the largest (exactly zero by default)."""
-    # same values; LAPACK's SVD is several times cheaper on the tall side
-    tall = mat.T if mat.shape[0] < mat.shape[1] else mat
-    sv = np.linalg.svd(tall, compute_uv=False)
+    `rtol` (< 1e-2) times the largest (exactly zero by default)."""
+    lam = _gram_eigvalsh(mat)
+    if lam[0] > _GRAM_TOL * lam[-1]:  # sigma ratio > 1e-2: no rtol trips
+        return float(np.sqrt(lam[0]))
+    sv = np.linalg.svd(mat.T if mat.shape[0] < mat.shape[1] else mat, compute_uv=False)
     if sv[-1] <= rtol * max(sv[0], 1e-300):
         raise RankError(f"numerically rank-deficient {what}")
     return sv[-1]
@@ -82,12 +96,6 @@ def _check_candidates(p, r, what):
     """DimensionError unless there are at least r of the p candidates."""
     if p < r:
         raise DimensionError(f"need at least r={r} candidate {what}, have {p}")
-
-
-def _norm2(mat):
-    """Spectral norm, from the largest eigenvalue of the short-side Gram."""
-    gram = mat.conj().T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.conj().T
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def _pivots(v, r, what, forbidden=()):
@@ -214,24 +222,25 @@ def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
     return _state_error_bound(b.conj().T, phi_r, hankel, form, "actuators")
 
 
-def _state_error_bound(c, psi_r, hankel, form, what):
-    c = matkernel.as_matrix(c)
-    psi_r = matkernel.as_matrix(psi_r)
-    p = c.shape[0]
-    r = psi_r.shape[1]
+def _sampled(c, psi_r, what):
+    """C, Psi_r, p, r and sigma_min(C Psi_r) for a bound on p >= r candidates."""
+    c, psi_r = matkernel.as_matrix(c), matkernel.as_matrix(psi_r)
+    p, r = c.shape[0], psi_r.shape[1]
     _check_candidates(p, r, what)
-    hankel = np.asarray(hankel, dtype=float)
-    tail = 2.0 * np.sum(hankel[r:])
-    smin = _smin(c @ psi_r, "C Psi_r")
-    norm_c = _norm2(c)
-    norm_psi = _norm2(psi_r)
+    return c, psi_r, p, r, _smin(c @ psi_r, "C Psi_r")
+
+
+def _state_error_bound(c, psi_r, hankel, form, what):
+    c, psi_r, p, r, smin = _sampled(c, psi_r, what)
+    tail = 2.0 * np.sum(np.asarray(hankel, dtype=float)[r:])
     if form == "explicit":
         growth = _growth_factor(p, r)
     elif form == "sqrt_p":
         growth = np.sqrt(float(p)) * 2.0**r
     else:
         raise ValueError(f"unknown bound form {form!r}")
-    return float(norm_c * norm_psi / smin * growth * tail)
+    norms = np.sqrt(_gram_eigvalsh(c)[-1] * _gram_eigvalsh(psi_r)[-1])  # ||C|| ||Psi_r||
+    return float(norms / smin * growth * tail)
 
 
 def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
@@ -252,20 +261,13 @@ def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
 
 
 def _logdet_lower_bound(c, psi_r, hankel, gamma, check, what):
-    c = matkernel.as_matrix(c)
-    psi_r = matkernel.as_matrix(psi_r)
-    p = c.shape[0]
-    r = psi_r.shape[1]
-    _check_candidates(p, r, what)
-    smin = _smin(c @ psi_r, "C Psi_r")
+    c, psi_r, p, r, smin = _sampled(c, psi_r, what)
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
     if gamma is not None and check:
         achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma, side="sensor")
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
-            raise NumericError(
-                f"log-det lower bound {bound} exceeds achieved {achieved}"
-            )
+            raise NumericError(f"log-det lower bound {bound} exceeds achieved {achieved}")
     return bound
 
 
@@ -276,8 +278,7 @@ def achieved_rank_r_logdet(mat, modes, hankel, indices, side="sensor"):
     side="actuator": the same formula on mat*, i.e.
     log|B_hat* (Phi S Phi*) B_hat| for B_hat = mat[:, indices].
     """
-    mat = matkernel.as_matrix(mat)
-    modes = matkernel.as_matrix(modes)
+    mat, modes = matkernel.as_matrix(mat), matkernel.as_matrix(modes)
     r = modes.shape[1]
     sig = np.asarray(hankel, dtype=float)[:r]
     idx = np.asarray(indices)

@@ -331,23 +331,6 @@ class TestLogdetAbs:
             matkernel.logdet_abs(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-class TestMatrixExponentialApply:
-    def test_zero_time(self):
-        x = np.array([1.0, 2.0])
-        out = matkernel.matrix_exponential_apply(np.ones((2, 2)), 0.0, x)
-        np.testing.assert_allclose(out, x)
-
-    def test_scalar_decay(self):
-        out = matkernel.matrix_exponential_apply(np.array([[-1.0]]), 1.0, [1.0])
-        assert out[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-    def test_diagonal_closed_form(self):
-        out = matkernel.matrix_exponential_apply(
-            np.diag([-1.0, -2.0]), 0.5, [1.0, 1.0]
-        )
-        np.testing.assert_allclose(out, [np.exp(-0.5), np.exp(-1.0)], rtol=1e-12)
-
-
 class TestPivotingArguments:
     @pytest.mark.parametrize("forbidden", [[-1], [6], [0, 2.0], np.ones(6, dtype=bool)])
     def test_bad_forbidden_raises(self, forbidden):

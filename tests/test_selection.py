@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balsel import balancing, evaluation, gramian, selection
-from balsel.errors import DimensionError, FeasibilityError, NumericError
+from balsel.errors import DimensionError, FeasibilityError, NumericError, RankError
 from balsel.models import random_stable_system
 from balsel.statespace import StateSpaceModel
 
@@ -325,6 +325,41 @@ class TestStateErrorBoundNorms:
         expected = np.linalg.norm(c, 2) * np.linalg.norm(psi, 2) / sv[-1] * growth * 0.8
         got = selection.sensor_state_error_bound(c, psi, hankel)
         assert got == pytest.approx(expected, rel=1e-13)
+
+    @staticmethod
+    def _with_singular_values(field, shape, sv, seed=92):
+        """A `shape` matrix in `field` whose singular values are `sv`."""
+        rng = np.random.default_rng(seed)
+        p, r = max(shape), min(shape)
+
+        def orthonormal(rows):
+            z = rng.standard_normal((rows, r))
+            if field is complex:
+                z = z + 1j * rng.standard_normal((rows, r))
+            return np.linalg.qr(z)[0]
+
+        tall = (orthonormal(p) * sv) @ orthonormal(r).conj().T
+        return tall if shape[0] >= shape[1] else tall.T
+
+    @pytest.mark.parametrize("ratio", [0.5, 1e-1, 1e-3, 1e-13])
+    @pytest.mark.parametrize("shape", [(60, 6), (6, 60)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_smin_gram_or_svd(self, field, shape, ratio, monkeypatch):
+        # sigma_min from the r x r Gram unless (sigma_min/sigma_max)^2 is
+        # at most _GRAM_TOL; the SVD decides there and keeps the rank test
+        mat = self._with_singular_values(field, shape, np.geomspace(2.0, 2.0 * ratio, 6))
+        want = np.linalg.svd(mat, compute_uv=False)[-1]
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        if ratio < 1e-12:
+            v = mat if shape[0] < shape[1] else mat.conj().T  # r x candidates
+            with pytest.raises(RankError, match="rank-deficient"):
+                selection._pivots(v, 6, "sensors")
+            with pytest.raises(RankError):
+                selection._smin(mat, "the input", rtol=1e-12)
+            return
+        assert selection._smin(mat, "the input") == pytest.approx(want, rel=1e-12, abs=0)
+        assert len(calls) == (1 if ratio == 1e-3 else 0)
 
 
 class TestGreedyVolume:
