@@ -11,10 +11,8 @@ needed to evaluate the selections.
 from .balancing import BalancedRealization, ReducedModel, balance, truncate, truncation_error_bound
 from .evaluation import (
     EnsembleStats,
-    ObjectiveReport,
     brute_force,
     logdet_objective,
-    objective_report,
     percentile_strictly_below,
     random_ensemble,
     rank_sweep,

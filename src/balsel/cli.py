@@ -18,7 +18,6 @@ Indices printed by commands are 1-based; exit codes are 0 (ok),
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -336,8 +335,8 @@ def cmd_select(args):
     grams, bal, sel = _select_on_model(m, r, args.no_collocate)
     # score the r x r sampled blocks, never the p x p and q x q products
     c_hat, b_hat, own = m.c[sel.gamma], m.b[:, sel.beta], np.arange(r)
-    blocks = (c_hat @ grams.w_c @ c_hat.conj().T, b_hat.conj().T @ grams.w_o @ b_hat)
-    report = evaluation.objective_report(dataclasses.replace(sel, gamma=own, beta=own), *blocks)
+    block_s = c_hat @ grams.w_c @ c_hat.conj().T
+    block_a = b_hat.conj().T @ grams.w_o @ b_hat
     if args.metric == "h2":  # before any output; compute_gramians proved stability
         h2 = (statespace._h2_from_gramians(m, grams, 1e-8), statespace._h2_from_frequency(m, grid))
 
@@ -345,9 +344,9 @@ def cmd_select(args):
     print(f"beta {_ones_based(sel.beta)}")
     print("r_diag_sensors " + " ".join(_fmt(v) for v in sel.r_diag_sensors))
     print("r_diag_actuators " + " ".join(_fmt(v) for v in sel.r_diag_actuators))
-    print(f"logdet_sensor {_fmt(report.logdet_sensor)}")
-    print(f"logdet_actuator {_fmt(report.logdet_actuator)}")
-    print(f"trace_sensor {_fmt(report.trace_sensor)}")
+    print(f"logdet_sensor {_fmt(evaluation.logdet_objective(own, block_s))}")
+    print(f"logdet_actuator {_fmt(evaluation.logdet_objective(own, block_a))}")
+    print(f"trace_sensor {_fmt(evaluation.trace_objective(own, block_s))}")
     if args.metric == "h2":
         print(f"h2_norm {_fmt(h2[0])}")
         print(f"h2_norm_frequency {_fmt(h2[1])}")
@@ -471,9 +470,16 @@ def cmd_gl_demo(args):
     pipe = None
     with open(placement_path, "w") as fh:
         fh.write("r,pair,sensor_index,sensor_xi,actuator_index,actuator_xi,h2,stable\n")
+        # the plant, its controller and their gramians do not depend on r
+        try:
+            stage, failure = models._gl_plant_stage(params), None
+        except BalselError as exc:
+            stage, failure = None, exc
         for r in range(1, max_r + 1):
             try:
-                pipe = models.gl_pipeline(params, r=r, no_collocate=args.no_collocate)
+                if failure is not None:
+                    raise failure
+                pipe = models._gl_rank_stage(stage, r, args.no_collocate)
             except BalselError as exc:
                 print(f"r={r}: synthesis failed: {exc}", file=sys.stderr)
                 continue

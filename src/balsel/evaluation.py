@@ -17,11 +17,9 @@ from . import balancing, gramian, matkernel, selection
 from .errors import EnumerationCapError
 
 __all__ = [
-    "ObjectiveReport",
     "EnsembleStats",
     "logdet_objective",
     "trace_objective",
-    "objective_report",
     "brute_force",
     "random_ensemble",
     "percentile_strictly_below",
@@ -33,27 +31,12 @@ DEFAULT_CAP = 10**6
 
 
 @dataclass
-class ObjectiveReport:
-    """Objective values achieved by one selection."""
-
-    logdet_sensor: float
-    logdet_actuator: float
-    trace_sensor: float
-    selection: selection.SelectionResult
-    h2_closed: float | None = None
-
-
-@dataclass
 class EnsembleStats:
     """Objective values of randomly sampled selections."""
 
     samples: np.ndarray
     mean: float
     std: float
-    percentile_of_qr: float | None = None
-
-    def percentile(self, value):
-        return percentile_strictly_below(self.samples, value)
 
 
 def percentile_strictly_below(values, x):
@@ -62,43 +45,18 @@ def percentile_strictly_below(values, x):
     return float(100.0 * np.mean(values < x))
 
 
-def _principal_logdet(gram, indices):
-    idx = np.asarray(indices)
-    sub = gram[np.ix_(idx, idx)]
-    sign, val = np.linalg.slogdet(sub)
-    if sign == 0 or not np.isfinite(val):
-        return -np.inf
-    return float(val)
-
-
-def logdet_objective(indices, gram, side="sensor"):
+def logdet_objective(indices, gram):
     """log |principal submatrix| of the projected gramian at `indices`.
 
-    Returns -inf for a singular submatrix.  `side` is documentation only;
-    pass C W_c C* for sensors and B* W_o B for actuators.
+    Returns -inf for a singular submatrix.  Pass C W_c C* for sensors and
+    B* W_o B for actuators.
     """
-    if side not in ("sensor", "actuator"):
-        raise ValueError(f"unknown side {side!r}")
-    gram = matkernel.as_matrix(gram)
-    return _principal_logdet(gram, indices)
+    return float(_subset_values(matkernel.as_matrix(gram), np.asarray(indices)[None], "logdet")[0])
 
 
 def trace_objective(indices, gram):
     """Trace of the principal submatrix (the H2-type objective)."""
-    gram = matkernel.as_matrix(gram)
-    idx = np.asarray(indices)
-    return float(np.trace(gram[np.ix_(idx, idx)]).real)
-
-
-def objective_report(sel, gram_sensor, gram_actuator, h2_closed=None):
-    """Evaluate one selection against both projected gramians."""
-    return ObjectiveReport(
-        logdet_sensor=logdet_objective(sel.gamma, gram_sensor, "sensor"),
-        logdet_actuator=logdet_objective(sel.beta, gram_actuator, "actuator"),
-        trace_sensor=trace_objective(sel.gamma, gram_sensor),
-        selection=sel,
-        h2_closed=h2_closed,
-    )
+    return float(_subset_values(matkernel.as_matrix(gram), np.asarray(indices)[None], "trace")[0])
 
 
 def _batched_logdets(gram, index_array, batch=50000):
@@ -116,10 +74,11 @@ def _batched_logdets(gram, index_array, batch=50000):
 
 def _subset_values(gram, index_array, metric):
     """The objective of each index row: log-det or trace of its principal
-    submatrix.  `cmd_bruteforce` scores its QR subset here too, so that the
-    subset's own enumerated entry is bit-identical to its score."""
+    submatrix.  Every subset objective is scored here, so the QR subset's
+    own enumerated entry in `cmd_bruteforce` is bit-identical to its score.
+    A complex trace is summed in the complex field, like `np.trace`."""
     if metric == "trace":
-        return gram.diagonal().real[index_array].sum(axis=1)
+        return gram.diagonal()[index_array].sum(axis=1).real
     return _batched_logdets(gram, index_array)
 
 
@@ -151,7 +110,7 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
     return best, vals
 
 
-def random_ensemble(gram, budget, count, seed, qr_value=None):
+def random_ensemble(gram, budget, count, seed):
     """Uniform random index subsets (without replacement) and their log-dets."""
     if count < 1:
         raise ValueError("need at least one sample")
@@ -161,14 +120,8 @@ def random_ensemble(gram, budget, count, seed, qr_value=None):
     index_array = np.empty((count, budget), dtype=np.intp)
     for i in range(count):
         index_array[i] = rng.choice(p, size=budget, replace=False)
-    vals = _batched_logdets(gram, index_array)
-    pct = percentile_strictly_below(vals, qr_value) if qr_value is not None else None
-    return EnsembleStats(
-        samples=vals,
-        mean=float(np.mean(vals)),
-        std=float(np.std(vals)),
-        percentile_of_qr=pct,
-    )
+    vals = _subset_values(gram, index_array, "logdet")
+    return EnsembleStats(samples=vals, mean=float(np.mean(vals)), std=float(np.std(vals)))
 
 
 def rank_sweep(model, ranks, count=200, seed=0):
@@ -197,7 +150,7 @@ def rank_sweeps(model, ranks, seeds, count=200):
         sel = selection.select_subsets(model.c, model.b, bal.psi_r, bal.phi_r)
         qr_values.append(
             logdet_objective(sel.gamma, gram_sensor)
-            + logdet_objective(sel.beta, gram_actuator, "actuator")
+            + logdet_objective(sel.beta, gram_actuator)
         )
     sweeps = []
     for seed in seeds:

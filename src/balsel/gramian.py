@@ -261,12 +261,16 @@ def care_residual(a, b, q, r, x):
     return float(np.linalg.norm(res) / den)
 
 
-def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
+# Relative CARE residual above which `solve_care` takes its Newton step.
+_REFINE_TOL = 1e-8
+
+
+def solve_care(a, b, q_weight, r_weight):
     """Stabilizing solution of A* X + X A - X B R^{-1} B* X + Q = 0.
 
     Uses the ordered complex Schur form of the Hamiltonian matrix (stable
     eigenvalues first), computed on one scipy BLAS thread like every Schur
-    form (see `matkernel`); if the relative residual exceeds `refine_tol`,
+    form (see `matkernel`); if the relative residual exceeds `_REFINE_TOL`,
     one Newton step (a Lyapunov solve on the closed loop) refines the
     iterate.
     """
@@ -295,7 +299,7 @@ def solve_care(a, b, q_weight, r_weight, refine_tol=1e-8):
         raise SynthesisError("ordered-Schur basis is singular") from exc
     x = _hermitize(x)
 
-    if care_residual(a, b, q_weight, r_weight, x) > refine_tol:
+    if care_residual(a, b, q_weight, r_weight, x) > _REFINE_TOL:
         gx = b @ np.linalg.solve(r_weight, b.conj().T @ x)
         a_cl = a - gx
         res = a.conj().T @ x + x @ a - x @ gx + q_weight

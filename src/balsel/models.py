@@ -92,28 +92,16 @@ def _poldif(x, alpha, beta):
     return out
 
 
-def hermite_diff_matrices(n, orders=2, weighted=True):
-    """Differentiation matrices on the Hermite-root grid.
+def hermite_diff_matrices(n):
+    """First and second differentiation matrices on the Hermite-root grid.
 
-    weighted=True applies the Gaussian similarity scaling exp(-xi^2/2)
-    (exact on Gaussian-weighted polynomials, entries of modest size: the
-    form usable at large n).  weighted=False gives plain polynomial
-    collocation (exact on polynomials, but numerically explosive for
-    n beyond a few dozen).  Returns (grid, [D1, ..., Dorders]).
+    The Gaussian similarity scaling exp(-xi^2/2) makes them exact on
+    Gaussian-weighted polynomials with entries of modest size, so they stay
+    usable at large n.  Returns (grid, [D1, D2]).
     """
     x = hermite_roots(n)
-    if weighted:
-        alpha = np.exp(-(x**2) / 2.0)
-        beta = np.zeros((orders + 1, n))
-        beta[0] = 1.0
-        beta[1] = -x
-        for i in range(2, orders + 1):
-            beta[i] = -x * beta[i - 1] - (i - 1) * beta[i - 2]
-        beta = beta[1:]
-    else:
-        alpha = np.ones(n)
-        beta = np.zeros((orders, n))
-    return x, _poldif(x, alpha, beta)
+    # alpha'/alpha = -x and alpha''/alpha = x^2 - 1 for the weight alpha = exp(-x^2/2)
+    return x, _poldif(x, np.exp(-(x**2) / 2.0), np.vstack((-x, x * x - 1.0)))
 
 
 def trapezoid_weights(x):
@@ -186,7 +174,7 @@ def ginzburg_landau_plant(params=None):
         params = GinzburgLandauParams()
     xi = params.grid
     n = params.n
-    _, (d1, d2) = hermite_diff_matrices(n, orders=2, weighted=True)
+    _, (d1, d2) = hermite_diff_matrices(n)
     a = -params.nu * d1 + np.diag(params.mu(xi)) + params.beta_diff * d2
 
     spread = (xi[:, None] - xi[None, :]) ** 2
@@ -322,14 +310,13 @@ def lqg_gain_grid(controller, gamma, beta, grid, coordinates):
     coordinates = np.asarray(coordinates)
     gamma_sorted = gamma[np.argsort(coordinates[gamma])]
     beta_sorted = beta[np.argsort(coordinates[beta])]
-    a_k = controller.controller_model.a
-    lg = controller.l_gain[:, gamma_sorted]
-    fb = controller.f_gain[beta_sorted, :]
-    n = a_k.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    restricted = statespace.StateSpaceModel(
+        controller.controller_model.a,
+        controller.l_gain[:, gamma_sorted],
+        -controller.f_gain[beta_sorted, :],
+    )
     gains = np.empty((grid.points.size, beta_sorted.size, gamma_sorted.size))
-    for i, omega in enumerate(grid.points):
-        g = -fb @ np.linalg.solve(1j * omega * eye - a_k, lg)
+    for i, g in enumerate(statespace._responses(restricted, 1j * grid.points)):
         gains[i] = 20.0 * np.log10(np.maximum(np.abs(g), 1e-300))
     return gains, gamma_sorted, beta_sorted
 
@@ -345,12 +332,22 @@ def gl_pipeline(params=None, r=5, no_collocate=False):
     their grid locations.  The controller's gramian solve is the one test
     of its stability (UnstableSystemError if A_K is not Hurwitz).
     """
+    return _gl_rank_stage(_gl_plant_stage(params), r, no_collocate)
+
+
+def _gl_plant_stage(params):
+    """The rank-independent half of `gl_pipeline`: (params, plant,
+    controller, controller gramians)."""
     if params is None:
         params = GinzburgLandauParams()
     a, b2, c2 = ginzburg_landau_plant(params)
     controller = lqg_synthesize(a, b2, c2)
+    return params, (a, b2, c2), controller, gramian.compute_gramians(controller.controller_model)
 
-    grams = gramian.compute_gramians(controller.controller_model)
+
+def _gl_rank_stage(stage, r, no_collocate):
+    """The rank-r half of `gl_pipeline` on the output of `_gl_plant_stage`."""
+    params, (a, b2, c2), controller, grams = stage
     bal = balancing.balance(grams, r)
 
     # The plant's sensors are the controller's inputs (columns of L) and its

@@ -67,7 +67,6 @@ class ProjectionOperator:
     basis: np.ndarray
     sampler: np.ndarray
     sampled_rows: np.ndarray
-    side_tag: str
 
     @property
     def condition(self):
@@ -167,22 +166,20 @@ def select_subsets(c, b, psi_r, phi_r, no_collocate=False, **location_maps):
     return SelectionResult(gamma, beta, rd_s, rd_a)
 
 
-def _projection(basis, sampler, side_tag):
+def _projection(basis, sampler):
     basis = matkernel.as_matrix(basis)
-    return ProjectionOperator(
-        basis=basis, sampler=sampler, sampled_rows=sampler @ basis, side_tag=side_tag
-    )
+    return ProjectionOperator(basis=basis, sampler=sampler, sampled_rows=sampler @ basis)
 
 
 def sensor_projection(c, psi_r, gamma):
     """Interpolation projector Psi_r (C_hat Psi_r)^{-1} C_hat onto span(Psi_r)."""
-    return _projection(psi_r, matkernel.as_matrix(c)[np.asarray(gamma), :], "sensor")
+    return _projection(psi_r, matkernel.as_matrix(c)[np.asarray(gamma), :])
 
 
 def actuator_projection(b, phi_r, beta):
     """Dual projector Phi_r (B_hat* Phi_r)^{-1} B_hat* onto span(Phi_r)."""
     sampler = matkernel.as_matrix(b)[:, np.asarray(beta)].conj().T
-    return _projection(phi_r, sampler, "actuator")
+    return _projection(phi_r, sampler)
 
 
 def project_state(op, x):
@@ -265,24 +262,22 @@ def _logdet_lower_bound(c, psi_r, hankel, gamma, check, what):
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
     if gamma is not None and check:
-        achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma, side="sensor")
+        achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma)
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
             raise NumericError(f"log-det lower bound {bound} exceeds achieved {achieved}")
     return bound
 
 
-def achieved_rank_r_logdet(mat, modes, hankel, indices, side="sensor"):
+def achieved_rank_r_logdet(mat, modes, hankel, indices):
     """log-det objective achieved on the rank-r balanced gramian.
 
-    side="sensor": log|C_hat (Psi S Psi*) C_hat*| for C_hat = mat[indices];
-    side="actuator": the same formula on mat*, i.e.
-    log|B_hat* (Phi S Phi*) B_hat| for B_hat = mat[:, indices].
+    log|C_hat (Psi S Psi*) C_hat*| for C_hat = mat[indices]; pass mat = B*
+    and the Phi modes for the actuator objective log|B_hat* (Phi S Phi*) B_hat|.
     """
     mat, modes = matkernel.as_matrix(mat), matkernel.as_matrix(modes)
     r = modes.shape[1]
     sig = np.asarray(hankel, dtype=float)[:r]
     idx = np.asarray(indices)
-    sampled = mat[idx, :] if side == "sensor" else mat[:, idx].conj().T
-    hat = sampled @ modes
+    hat = mat[idx, :] @ modes
     core = (hat * sig) @ hat.conj().T
     return matkernel.logdet_abs(core)

@@ -118,24 +118,23 @@ def _instability(lam, discrete):
 
 def transfer_eval(m, s):
     """Evaluate G(s) = C (sI - A)^{-1} B by linear solve."""
-    shifted = s * np.eye(m.n, dtype=np.complex128) - m.a
-    try:
-        x = np.linalg.solve(shifted, m.b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"s={s} is an eigenvalue of A") from exc
-    g = m.c @ x
-    if not np.all(np.isfinite(g)):
-        raise SingularMatrixError(f"s={s} is numerically an eigenvalue of A")
-    return g
+    return next(_responses(m, [s]))
 
 
-def _transfer_batch(m, s_values):
-    """Stack of G(s) over the 1-D array `s_values` (batched solve)."""
-    s = np.asarray(s_values, dtype=np.complex128)
+def _responses(m, points):
+    """Yield G(s) = C (sI - A)^{-1} B for each s in `points`, one linear solve
+    at a time, so only O(n^2 + n q + p q) memory is live.  SingularMatrixError
+    if s is (numerically) an eigenvalue of A."""
     eye = np.eye(m.n, dtype=np.complex128)
-    shifted = s[:, None, None] * eye - m.a
-    x = np.linalg.solve(shifted, np.broadcast_to(m.b, (s.size, m.n, m.q)))
-    return m.c @ x
+    for s in points:
+        try:
+            x = np.linalg.solve(s * eye - m.a, m.b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"s={s} is an eigenvalue of A") from exc
+        g = m.c @ x
+        if not np.all(np.isfinite(g)):
+            raise SingularMatrixError(f"s={s} is numerically an eigenvalue of A")
+        yield g
 
 
 def h2_norm_gramian(m, w, rel_tol=1e-8):
@@ -196,7 +195,7 @@ def _nodes(m, grid):
 def _h2_from_frequency(m, grid):
     """The quadrature of `h2_norm_frequency` for a model known to be stable."""
     nodes, points = _nodes(m, grid)
-    integrand = np.sum(np.abs(_transfer_batch(m, points)) ** 2, axis=(1, 2))
+    integrand = np.array([np.sum(np.abs(g) ** 2) for g in _responses(m, points)])
     sym = 2.0 if m.is_real else 1.0
     val = sym * np.trapezoid(integrand, nodes) / (2.0 * np.pi)
     return float(np.sqrt(max(val, 0.0)))
@@ -209,8 +208,7 @@ def hinf_estimate(m, grid=None):
     `h2_norm_frequency` (negative frequencies too for complex systems).
     """
     _, points = _nodes(m, default_grid() if grid is None else grid)
-    g = _transfer_batch(m, points)
-    return float(np.linalg.svd(g, compute_uv=False)[:, 0].max())
+    return float(max(np.linalg.svd(g, compute_uv=False)[0] for g in _responses(m, points)))
 
 
 def impulse_snapshots(m, dt, steps):

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from balsel import cli, evaluation, models, statespace
-from balsel.errors import FormatError
+from balsel import cli, evaluation, gramian, models, statespace
+from balsel.errors import FormatError, SynthesisError
 
 
 def run(argv):
@@ -426,6 +426,40 @@ class TestGLDemoCommand:
         gain = (out / "lqg_gain.csv").read_text().splitlines()
         assert gain[0] == "omega,actuator_row,sensor_col,gain_db"
         assert len(gain) == 1 + 3 * 2 * 2
+
+    def test_controller_synthesized_once_per_plant(self, tmp_path, capsys, monkeypatch):
+        counts = {"solve_care": 0, "compute_gramians": 0}
+        for name in counts:
+
+            def counting(*args, _inner=getattr(gramian, name), _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(gramian, name, counting)
+        cfgfile = tmp_path / "gl.cfg"
+        cfgfile.write_text("n=28\n")
+        out = tmp_path / "gl"
+        assert run(["gl-demo", "--gl-params", str(cfgfile), "--rank", "3", "--out", str(out)]) == 0
+        # control and filter Riccati plus the controller's gramians once,
+        # then one closed-loop gramian pair per rank
+        assert counts == {"solve_care": 2, "compute_gramians": 1 + 3}
+        pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
+        last = (out / "placement.csv").read_text().splitlines()[-1]
+        assert last.split(",")[-2:] == [f"{pipe['h2']:.17g}", str(int(pipe["stable"]))]
+
+    def test_failed_synthesis_reported_for_every_rank(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise SynthesisError("no stabilizing solution")
+
+        monkeypatch.setattr(models, "lqg_synthesize", failing)
+        assert run(["gl-demo", "--rank", "3", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"r={r}: synthesis failed: no stabilizing solution" for r in (1, 2, 3)]
+        assert len(calls) == 1
+        assert not (tmp_path / "lqg_gain.csv").exists()
 
 
 class TestScalingCommand:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ class TestBruteForce:
         assert best.tolist() == [1, 2]
         np.testing.assert_allclose(np.sort(vals), [3.0, 6.0, 7.0])
 
+    @pytest.mark.parametrize("metric", ["logdet", "trace"])
+    def test_entries_equal_the_single_subset_objectives(self, metric):
+        # one kernel scores both, so they agree bit for bit, complex traces too
+        rng = np.random.default_rng(85)
+        w = random_psd(rng, 10) * 10.0 ** rng.uniform(-3, 3, 10)
+        objective = {"logdet": evaluation.logdet_objective, "trace": evaluation.trace_objective}
+        _, vals = evaluation.brute_force(w, 6, metric=metric)
+        singles = [objective[metric](idx, w) for idx in itertools.combinations(range(10), 6)]
+        assert vals.tolist() == singles
+
     def test_order_relation_with_qr_and_median(self):
         m = random_stable_system(12, 12, 12, seed=81, time_domain="discrete")
         grams = gramian.compute_gramians(m)
@@ -113,8 +125,8 @@ class TestRandomEnsemble:
     def test_percentile_hundred_when_above_all(self):
         rng = np.random.default_rng(83)
         w = random_psd(rng, 6)
-        stats = evaluation.random_ensemble(w, 2, 200, seed=6, qr_value=1e9)
-        assert stats.percentile_of_qr == 100.0
+        stats = evaluation.random_ensemble(w, 2, 200, seed=6)
+        assert evaluation.percentile_strictly_below(stats.samples, 1e9) == 100.0
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(84)

@@ -100,9 +100,9 @@ class TestSelectActuators:
         m, grams, bal = balanced_system(seed=65, r=3)
         beta, _ = selection.select_actuators(m.b, bal.phi_r)
         gram_act = m.b.conj().T @ grams.w_o @ m.b
-        qr_val = evaluation.logdet_objective(beta, gram_act, side="actuator")
+        qr_val = evaluation.logdet_objective(beta, gram_act)
         all_vals = sorted(
-            evaluation.logdet_objective(list(idx), gram_act, side="actuator")
+            evaluation.logdet_objective(list(idx), gram_act)
             for idx in itertools.combinations(range(8), 3)
         )
         assert qr_val >= all_vals[50]
@@ -258,7 +258,7 @@ class TestBounds:
         c = np.eye(1)
         psi = np.eye(1)
         bound = selection.sensor_logdet_lower_bound(c, psi, hankel, gamma=[0])
-        achieved = selection.achieved_rank_r_logdet(c, psi, hankel, [0], side="sensor")
+        achieved = selection.achieved_rank_r_logdet(c, psi, hankel, [0])
         assert bound == pytest.approx(np.log(0.5), rel=1e-12)
         assert achieved == pytest.approx(np.log(0.5), rel=1e-12)
 

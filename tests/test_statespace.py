@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,30 @@ class TestHinfEstimate:
         coarse = statespace.hinf_estimate(m, statespace.log_grid(1e-2, 1e2, 20))
         fine = statespace.hinf_estimate(m, statespace.log_grid(1e-3, 1e3, 800))
         assert coarse <= fine + 1e-12
+
+    def test_node_on_an_eigenvalue_raises(self):
+        # s = 0 is the first node of the half-line and an eigenvalue of A = 0
+        m = StateSpaceModel([[0.0]], [[1.0]], [[1.0]])
+        with pytest.raises(SingularMatrixError):
+            statespace.hinf_estimate(m)
+
+
+class TestFrequencyMemory:
+    # G(s) is formed one point at a time, so O(n^2 + n q + p q) memory is
+    # live; a (points, n, n) stack of shifted matrices needs about 490 MiB at
+    # this size
+    @pytest.mark.parametrize(
+        "norm", [statespace.h2_norm_frequency, statespace.hinf_estimate], ids=["h2", "hinf"]
+    )
+    def test_peak_at_most_16_mib(self, norm):
+        m = random_stable_system(200, 10, 10, 0)
+        tracemalloc.start()
+        try:
+            norm(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestImpulseSnapshots:
