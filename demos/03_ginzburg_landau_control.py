@@ -34,7 +34,7 @@ print(f"  actuators xi = {np.round(np.sort(params.grid[out_nc['selection'].beta]
 
 # controller gain map: each selected sensor mostly drives its nearest actuator
 out5 = gl_pipeline(params, r=5)
-grid = FrequencyGrid(np.array([0.1, 10.0, 1000.0]), "log")
+grid = FrequencyGrid(np.array([0.1, 10.0, 1000.0]))
 gains, gs, bs = lqg_gain_grid(
     out5["controller"], out5["selection"].gamma, out5["selection"].beta, grid, params.grid
 )

@@ -289,13 +289,14 @@ def _freq_grid(args):
 
 def _cap(args):
     if args.cap is not None:
-        return args.cap
+        return _at_least_one(args.cap, "--cap")
     try:
-        return int(os.environ.get("BALSEL_CAP", evaluation.DEFAULT_CAP))
+        cap = int(os.environ.get("BALSEL_CAP", evaluation.DEFAULT_CAP))
     except ValueError as exc:
         raise FormatError(
             f"BALSEL_CAP must be an integer, got {os.environ['BALSEL_CAP']!r}"
         ) from exc
+    return _at_least_one(cap, "BALSEL_CAP")
 
 
 def _ones_based(indices):
@@ -328,9 +329,7 @@ def cmd_gramians(args):
 
 def cmd_select(args):
     m = _load_model(args)
-    r = args.rank or args.budget
-    if not r:
-        raise FormatError("--rank (or --budget) is required")
+    r = _positive_rank(args)
     grid = _freq_grid(args) if args.metric == "h2" else None
     grams, bal, sel = _select_on_model(m, r, args.no_collocate)
     # score the r x r sampled blocks, never the p x p and q x q products
@@ -371,9 +370,7 @@ def cmd_select(args):
 
 def cmd_bruteforce(args):
     m = _load_model(args)
-    budget = args.budget or args.rank
-    if not budget:
-        raise FormatError("--budget (or --rank) is required")
+    budget = _positive_rank(args)
     cap = _cap(args)
     grams, bal, sel = _select_on_model(m, budget, args.no_collocate)
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
@@ -423,8 +420,8 @@ def cmd_bench_random(args):
 
 
 def _parse_rank_list(args):
-    if args.rank:
-        return [args.rank]
+    if args.rank is not None:
+        return [_positive_rank(args)]
     spec = args.ranks or "1-10"
     try:
         if "-" in spec:
@@ -436,16 +433,26 @@ def _parse_rank_list(args):
         raise FormatError(f"--ranks expects lo-hi or a comma list, got {spec!r}") from exc
     if not ranks:
         raise FormatError(f"--ranks range {spec!r} is empty")
-    return ranks
+    return [_at_least_one(r, "--ranks") for r in ranks]
 
 
-def _positive_rank(args, default):
-    """`--rank`, or `default` when it is not given; FormatError unless >= 1."""
-    if args.rank is None:
-        return default
-    if args.rank < 1:
-        raise FormatError(f"--rank must be >= 1, got {args.rank}")
-    return args.rank
+def _at_least_one(value, option):
+    """`value`; FormatError unless it is >= 1."""
+    if value < 1:
+        raise FormatError(f"{option} must be >= 1, got {value}")
+    return value
+
+
+def _positive_rank(args, default=None):
+    """`--rank` or its alias `--budget` (equal if both are given), else
+    `default`; FormatError if that is missing or below 1."""
+    given = {args.rank, getattr(args, "budget", None)} - {None}
+    if len(given) > 1:
+        raise FormatError(f"--rank and --budget differ: {sorted(given)}")
+    r = given.pop() if given else default
+    if r is None:
+        raise FormatError("--rank (or --budget) is required")
+    return _at_least_one(r, "rank")
 
 
 def cmd_gl_demo(args):
@@ -458,10 +465,8 @@ def cmd_gl_demo(args):
             raise FormatError(f"cannot read {args.gl_params}: {exc}") from exc
     else:
         params = models.GinzburgLandauParams()
-    if args.freq_grid:
-        grid = _freq_grid(args)
-    else:
-        grid = statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0]), "log")
+    grid = (_freq_grid(args) if args.freq_grid
+            else statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0])))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     xi = params.grid

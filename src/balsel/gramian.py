@@ -3,9 +3,9 @@
 The continuous Lyapunov equation A W + W A* + M = 0 and the Stein equation
 A W A* - W + M = 0 share one solver, `_solve_from_schur`; a `discrete` flag
 picks the stability and ill-posedness tests on the Schur diagonal and the
-leaf of the recursive blocked triangular kernel `_tri_solve`, which solves
-blocks of at most _LEAF with ZTRSYL (Lyapunov) or a ZTRTRS column sweep
-(Stein).  Complex Schur form serves real and complex systems alike, and
+equation the recursive blocked triangular kernel `_tri_solve` solves.  Its
+one leaf, a ZTRTRS column sweep, serves both equations on blocks of at
+most _LEAF.  Complex Schur form serves real and complex systems alike, and
 real data get a real solution.  `compute_gramians` factors A once per
 gramian pair and reads the Schur form of A* off it by a flip (see there).
 The Riccati solver is Laub's ordered-Schur method on the Hamiltonian
@@ -72,21 +72,15 @@ def _real_if_real_inputs(w, *inputs):
     return w.real
 
 
-def _sylvester_leaf(a, b, c):
-    """A X + X B* = C for small upper-triangular A, B (LAPACK ZTRSYL)."""
-    x, scale, info = lapack.ztrsyl(a, b, c, trana="N", tranb="C")
-    if info == 1:
-        raise IllPosedError(_ILL_POSED[False])
-    return x / scale
+def _leaf(a, b, c, discrete):
+    """A X + X B* = C, or A X B* - X = C if `discrete`, for small
+    upper-triangular A, B, swept by columns from the last.
 
-
-def _stein_leaf(a, b, c):
-    """A X B* - X = C for small upper-triangular A, B, swept by columns.
-
-    Column k solves (A - I / conj(b_kk)) x_k = rhs_k / conj(b_kk) with
-    rhs_k = c_k - A X[:, k+1:] conj(b[k, k+1:]); the coefficient is one
-    copy of A whose diagonal is rewritten per column.  b_kk = 0 gives
-    x_k = -rhs_k.
+    Column k solves (A + conj(b_kk) I) x_k = rhs_k, or for Stein
+    (A - I / conj(b_kk)) x_k = rhs_k / conj(b_kk), where rhs_k is c_k less
+    the update X[:, k+1:] conj(b[k, k+1:]), premultiplied by A for Stein;
+    a Stein b_kk = 0 gives x_k = -rhs_k.  The coefficient is one copy of A
+    whose diagonal is rewritten per column.
     """
     m, n = c.shape
     coef = np.array(a, order="F")
@@ -94,15 +88,16 @@ def _stein_leaf(a, b, c):
     diag = np.arange(m)
     x = np.empty((m, n), dtype=np.complex128, order="F")
     for k in range(n - 1, -1, -1):
-        rhs = c[:, k] - a @ (x[:, k + 1 :] @ b[k, k + 1 :].conj())
+        upd = x[:, k + 1 :] @ b[k, k + 1 :].conj()
+        rhs = c[:, k] - (a @ upd if discrete else upd)
         bkk = np.conj(b[k, k])
-        if bkk == 0.0:
+        if discrete and bkk == 0.0:
             x[:, k] = -rhs
             continue
-        coef[diag, diag] = lam - 1.0 / bkk
-        xk, info = lapack.ztrtrs(coef, rhs / bkk)
+        coef[diag, diag] = lam - 1.0 / bkk if discrete else lam + bkk
+        xk, info = lapack.ztrtrs(coef, rhs / bkk if discrete else rhs)
         if info > 0:
-            raise IllPosedError(_ILL_POSED[True])
+            raise IllPosedError(_ILL_POSED[discrete])
         x[:, k] = xk
     return x
 
@@ -114,11 +109,11 @@ def _tri_solve(a, b, c, discrete):
     ACM TOMS 28(4), 2002): the larger dimension is halved, the trailing
     block is solved first and the leading right-hand side is updated by a
     matrix product, so most of the flops run as GEMMs.  Blocks of at most
-    _LEAF x _LEAF go to ZTRSYL or to the column sweep.
+    _LEAF x _LEAF go to the column sweep `_leaf`.
     """
     m, n = c.shape
     if max(m, n) <= _LEAF:
-        return _stein_leaf(a, b, c) if discrete else _sylvester_leaf(a, b, c)
+        return _leaf(a, b, c, discrete)
     x = np.empty((m, n), dtype=np.complex128)
     if m >= n:
         h = m // 2

@@ -83,7 +83,6 @@ class FrequencyGrid:
     """Strictly increasing positive radian frequencies."""
 
     points: np.ndarray
-    spacing_tag: str = "log"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -94,7 +93,7 @@ class FrequencyGrid:
 
 
 def log_grid(lo=1e-3, hi=1e3, count=400):
-    return FrequencyGrid(np.logspace(np.log10(lo), np.log10(hi), count), "log")
+    return FrequencyGrid(np.logspace(np.log10(lo), np.log10(hi), count))
 
 
 def default_grid():

@@ -450,7 +450,7 @@ class TestA7GinzburgLandau:
 
 class TestA8GainStructure:
     def test_a8_gain_concentrates_on_diagonal(self, gl_run):
-        grid = statespace.FrequencyGrid(np.array([10.0]), "linear")
+        grid = statespace.FrequencyGrid(np.array([10.0]))
         gains, gs, bs = models.lqg_gain_grid(
             gl_run["controller"],
             gl_run["selection"].gamma,

@@ -154,6 +154,23 @@ class TestModelInputErrors:
 
     @pytest.mark.parametrize(
         "command, extra",
+        [
+            ("select", ["--rank", "5"]),
+            ("select", ["--rank", "5", "--budget", "5"]),
+            ("bruteforce", ["--budget", "5"]),
+            ("bench-random", ["--rank", "5"]),
+            ("bench-random", ["--ranks", "1-5"]),
+        ],
+    )
+    def test_rank_above_n_exit_2(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        argv = [command, "--generate", "4,4,4,1", "--out", str(out)] + extra
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: rank must be between 1 and 4")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
         [("gramians", []), ("select", ["--rank", "1"])],
         ids=["gramians", "select"],
     )
@@ -189,6 +206,18 @@ class TestBadOptionValues:
             (["gl-demo", "--rank", "1", "--freq-grid", "1,0.1,5"], {}, None),
             (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"],
              {"BALSEL_CAP": "abc"}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"],
+             {"BALSEL_CAP": "0"}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2", "--cap", "-1"], {}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "2", "--cap", "0"], {}, None),
+            (["select", "--generate", "8,8,8,1", "--rank", "0"], {}, None),
+            (["select", "--generate", "8,8,8,1", "--rank", "-1"], {}, None),
+            (["select", "--generate", "8,8,8,1", "--rank", "2", "--budget", "3"], {}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--budget", "-2"], {}, None),
+            (["bruteforce", "--generate", "8,8,8,1", "--rank", "2", "--budget", "3"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--rank", "-3"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--rank", "0"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--ranks", "0-2"], {}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
               "--freq-grid", "1,0.1,5"], {}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
@@ -203,6 +232,10 @@ class TestBadOptionValues:
             (["scaling", "--rank", "0"], {}, None),
         ],
         ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-freq-grid", "cap-env",
+             "cap-env-zero", "cap-neg", "cap-zero", "select-rank-zero", "select-rank-neg",
+             "select-rank-budget-differ", "bruteforce-budget-neg",
+             "bruteforce-rank-budget-differ", "bench-rank-neg", "bench-rank-zero",
+             "bench-ranks-zero",
              "select-freq-grid", "select-freq-grid-negative", "ensemble-count-neg",
              "ensemble-count-zero", "gl-rank-neg", "gl-rank-zero", "scaling-rank-neg",
              "scaling-rank-zero"],

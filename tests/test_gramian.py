@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from balsel import gramian, statespace
 from balsel.errors import HorizonError, IllPosedError, SynthesisError, UnstableSystemError
@@ -82,6 +83,18 @@ class TestComputeGramians:
         g = gramian.compute_gramians(m)
         g_adj = gramian.compute_gramians(statespace.adjoint_model(m))
         np.testing.assert_allclose(g.w_o, g_adj.w_c, atol=1e-10)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_continuous_matches_scipy(self, field):
+        # n = 150 is past _LEAF, so the kernel recurses before its leaves
+        m = random_stable_system(150, 3, 4, seed=31)
+        if field == "complex":
+            m = StateSpaceModel(m.a + 0.05j * np.eye(150), 1j * m.b, m.c)
+        g = gramian.compute_gramians(m)
+        ref_c = sla.solve_continuous_lyapunov(m.a, -m.b @ m.b.conj().T)
+        ref_o = sla.solve_continuous_lyapunov(m.a.conj().T, -m.c.conj().T @ m.c)
+        for w, ref in ((g.w_c, ref_c), (g.w_o, ref_o)):
+            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_trace_formula_identity(self):
         for seed in range(15):
@@ -209,6 +222,71 @@ class TestTriSolve:
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x = gramian._tri_solve(t, t, c, discrete=True)
         ref = _kron_tri_solve(t, t, c, discrete=True)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _kron_block_solve(a, b, c, discrete):
+    """Block back substitution on the Kronecker system of A X + X B* = C
+    (or A X B* - X = C): block (k, j) is delta_kj A + conj(b_kj) I (or
+    conj(b_kj) A - delta_kj I), and each diagonal block is solved densely."""
+    m, n = c.shape
+    x = np.zeros((m, n), dtype=complex)
+    eye = np.eye(m)
+    for k in range(n - 1, -1, -1):
+        upd = x[:, k + 1 :] @ b[k, k + 1 :].conj()
+        bkk = b[k, k].conj()
+        if discrete:
+            x[:, k] = np.linalg.solve(bkk * a - eye, c[:, k] - a @ upd)
+        else:
+            x[:, k] = np.linalg.solve(a + bkk * eye, c[:, k] - upd)
+    return x
+
+
+def _random_triangular(rng, n, discrete):
+    # off-diagonal scaled by 1/sqrt(n) so the solve stays well conditioned;
+    # diagonal real part in [-1.1, -0.1] (Hurwitz) or modulus <= 0.9 (Schur)
+    t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    t /= np.sqrt(n)
+    if discrete:
+        lam = 0.9 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    else:
+        lam = -(0.1 + rng.random(n)) + 1j * rng.standard_normal(n)
+    t[np.diag_indices(n)] = lam
+    return t
+
+
+class TestTriSolveAtTheLeafSize:
+    # the recursive kernel at its real _LEAF against the Kronecker system;
+    # the shapes stay inside one leaf or split once or twice
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 3), (3, 5), (128, 128), (129, 64), (200, 200)])
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+    def test_matches_kronecker_solve(self, m, n, discrete):
+        rng = np.random.default_rng(1000 * m + n)
+        a = _random_triangular(rng, m, discrete)
+        b = _random_triangular(rng, n, discrete)
+        self._check(a, b, rng, discrete)
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (200, 200)])
+    def test_stein_with_zero_b_kk(self, m, n):
+        # b_kk = 0 takes the sweep's x_k = -rhs_k branch
+        rng = np.random.default_rng(m + n)
+        a = _random_triangular(rng, m, True)
+        b = _random_triangular(rng, n, True)
+        for k in {0, n // 2, n - 1}:
+            b[k, k] = 0.0
+        self._check(a, b, rng, True)
+
+    @staticmethod
+    def _check(a, b, rng, discrete):
+        m, n = a.shape[0], b.shape[0]
+        assert gramian._LEAF == 128
+        c = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        x = gramian._tri_solve(a, b, c, discrete)
+        lhs = a @ x @ b.conj().T - x if discrete else a @ x + x @ b.conj().T
+        assert np.linalg.norm(lhs - c) <= 1e-12 * np.linalg.norm(c)
+        # the Kronecker matrix is (mn)^2 entries: dense while that is small
+        solve = _kron_tri_solve if m * n <= 1024 else _kron_block_solve
+        ref = solve(a, b, c, discrete)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

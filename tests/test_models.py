@@ -183,7 +183,7 @@ class TestGainGrid:
             [[-1.0]], [[1.0]], [[1.0]],
             q_hat=[[1.0]], r_hat=[[1.0]], w_cov=[[1.0]], v_cov=[[1.0]],
         )
-        grid = statespace.FrequencyGrid(np.array([0.5, 2.0]), "linear")
+        grid = statespace.FrequencyGrid(np.array([0.5, 2.0]))
         gains, gs, bs = models.lqg_gain_grid(ctl, [0], [0], grid, np.array([0.0]))
         for i, omega in enumerate(grid.points):
             ref = statespace.transfer_eval(ctl.controller_model, 1j * omega)
@@ -196,7 +196,7 @@ class TestGainGrid:
         a_k = StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
         eye = np.eye(2)
         ctl = models.LQGController(eye, eye, a_k, eye, eye, eye, eye)
-        grid = statespace.FrequencyGrid(np.array([0.5, 1.0]), "linear")
+        grid = statespace.FrequencyGrid(np.array([0.5, 1.0]))
         with pytest.raises(SingularMatrixError):
             models.lqg_gain_grid(ctl, [0, 1], [0, 1], grid, np.array([0.0, 1.0]))
 
@@ -205,7 +205,7 @@ class TestGainGrid:
             [[-1.0]], [[1.0]], [[1.0]],
             q_hat=[[1.0]], r_hat=[[1.0]], w_cov=[[1.0]], v_cov=[[1.0]],
         )
-        grid = statespace.FrequencyGrid(np.array([1.0, 1e3, 1e6]), "log")
+        grid = statespace.FrequencyGrid(np.array([1.0, 1e3, 1e6]))
         gains, _, _ = models.lqg_gain_grid(ctl, [0], [0], grid, np.array([0.0]))
         assert gains[2, 0, 0] < gains[1, 0, 0] < gains[0, 0, 0]
 

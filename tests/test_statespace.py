@@ -141,7 +141,7 @@ class TestH2Norms:
         w = gramian.compute_gramians(m)
         ref = statespace.h2_norm_gramian(m, w)
         val = statespace.h2_norm_frequency(
-            m, statespace.FrequencyGrid(np.linspace(1e-4, np.pi, 4000), "linear")
+            m, statespace.FrequencyGrid(np.linspace(1e-4, np.pi, 4000))
         )
         assert val == pytest.approx(ref, rel=1e-3)
 
@@ -154,7 +154,7 @@ class TestH2Norms:
         w = gramian.compute_gramians(m)
         ref = statespace.h2_norm_gramian(m, w)
         val = statespace.h2_norm_frequency(
-            m, statespace.FrequencyGrid(np.linspace(1e-4, np.pi, 4000), "linear")
+            m, statespace.FrequencyGrid(np.linspace(1e-4, np.pi, 4000))
         )
         assert val == pytest.approx(ref, rel=1e-3)
 
