@@ -1,10 +1,11 @@
 """Square-root balanced truncation.
 
-Gramians are factored (Cholesky, with a symmetric-eigendecomposition
-fallback for semidefinite empirical gramians), the product of the factors
-is SVD'd, and the direct/adjoint mode matrices are assembled so that both
-transformed gramians equal diag(sigma) without ever forming the product
-W_c W_o explicitly.
+Each gramian is factored as W = L L* by one rank-revealing pivoted
+Cholesky (`matkernel._psd_factor`), which takes definite exact gramians
+and semidefinite ones (empirical, or exact at the rounding floor) alike.
+The product of the factors is SVD'd, and the direct/adjoint mode matrices
+are assembled so that both transformed gramians equal diag(sigma) without
+ever forming the product W_c W_o explicitly.
 """
 
 from dataclasses import dataclass
@@ -47,24 +48,6 @@ class ReducedModel:
     error_bound: float
 
 
-def _psd_factor(w, clip_tol=1e-12):
-    """Factor a Hermitian PSD matrix as L L*; tolerant of semidefiniteness.
-
-    Tries Cholesky first; on failure falls back to a symmetric
-    eigendecomposition, discarding eigenvalues below clip_tol * lambda_max.
-    """
-    w = 0.5 * (w + w.conj().T)
-    try:
-        return np.linalg.cholesky(w)
-    except np.linalg.LinAlgError:
-        lam, v = np.linalg.eigh(w)
-        lam = np.clip(lam, 0.0, None)
-        if lam.size == 0 or lam.max() == 0.0:
-            return np.zeros((w.shape[0], 1), dtype=w.dtype)
-        keep = lam > clip_tol * lam.max()
-        return v[:, keep] * np.sqrt(lam[keep])
-
-
 def balance(w, r):
     """Square-root balancing of a GramianPair, truncated at rank r.
 
@@ -75,18 +58,16 @@ def balance(w, r):
     n = w.w_c.shape[0]
     if not 1 <= r <= n:
         raise RankError(f"rank must be between 1 and {n}")
-    l_c = _psd_factor(w.w_c)
-    l_o = _psd_factor(w.w_o)
-    u, sig, v = matkernel.svd(l_o.conj().T @ l_c)
-    hankel = np.zeros(n)
-    hankel[: sig.size] = sig
-    if sig.size == 0 or hankel[r - 1] <= 1e-12 * hankel[0]:
-        admissible = int(np.sum(hankel > 1e-12 * hankel[0])) if sig.size else 0
+    l_c = matkernel._psd_factor(w.w_c)
+    l_o = matkernel._psd_factor(w.w_o)
+    u, hankel, v = matkernel.svd(l_o.conj().T @ l_c)
+    if hankel[r - 1] <= 1e-12 * hankel[0]:
+        admissible = int(np.sum(hankel > 1e-12 * hankel[0]))
         raise RankError(
             f"Hankel value {r} is below the rank threshold; "
             f"largest admissible rank is {admissible}"
         )
-    scale = 1.0 / np.sqrt(sig[:r])
+    scale = 1.0 / np.sqrt(hankel[:r])
     psi = (l_c @ v[:, :r]) * scale
     phi = (l_o @ u[:, :r]) * scale
 

@@ -224,23 +224,24 @@ def _parse_complex_cfg(s):
         raise FormatError(f"bad complex number {s!r}") from exc
 
 
+def _parse_mu_profile(s):
+    parts = tuple(float(v) for v in s.split(","))
+    if len(parts) != 3:
+        raise FormatError("mu_profile needs three coefficients")
+    return parts
+
+
+# the --gl-params keys and their value parsers
+_GL_KEYS = {"n": int, "nu": _parse_complex_cfg, "beta_diff": _parse_complex_cfg,
+            "mu_profile": _parse_mu_profile, "kernel_width": float}
+
+
 def gl_params_from_config(cfg):
-    kwargs = {}
-    if "nu" in cfg:
-        kwargs["nu"] = _parse_complex_cfg(cfg["nu"])
-    if "beta_diff" in cfg:
-        kwargs["beta_diff"] = _parse_complex_cfg(cfg["beta_diff"])
+    unknown = sorted(set(cfg) - set(_GL_KEYS))
+    if unknown:
+        raise FormatError(f"unknown --gl-params key {', '.join(unknown)}")
     try:
-        if "n" in cfg:
-            kwargs["n"] = int(cfg["n"])
-        if "kernel_width" in cfg:
-            kwargs["kernel_width"] = float(cfg["kernel_width"])
-        if "mu_profile" in cfg:
-            parts = [float(v) for v in cfg["mu_profile"].split(",")]
-            if len(parts) != 3:
-                raise FormatError("mu_profile needs three coefficients")
-            kwargs["mu_profile"] = tuple(parts)
-        return models.GinzburgLandauParams(**kwargs)
+        return models.GinzburgLandauParams(**{k: _GL_KEYS[k](v) for k, v in cfg.items()})
     except (ValueError, BalselError) as exc:
         raise FormatError(str(exc)) from exc
 
@@ -421,6 +422,8 @@ def cmd_bench_random(args):
 
 def _parse_rank_list(args):
     if args.rank is not None:
+        if args.ranks is not None:
+            raise FormatError("give --rank or --ranks, not both")
         return [_positive_rank(args)]
     spec = args.ranks or "1-10"
     try:

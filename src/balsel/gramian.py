@@ -27,6 +27,7 @@ from .errors import (
     SynthesisError,
     UnstableSystemError,
 )
+from .matkernel import _hermitize
 
 __all__ = [
     "GramianPair",
@@ -59,10 +60,6 @@ class GramianPair:
     residual_c: float
     residual_o: float
     source_tag: str = "exact"
-
-
-def _hermitize(w):
-    return 0.5 * (w + w.conj().T)
 
 
 def _real_if_real_inputs(w, *inputs):

@@ -19,6 +19,8 @@ idle workers spin, so a two-thread scipy call waits at every barrier.  On
 2 CPUs a 200x200 complex Schur in the Ginzburg-Landau pipeline took 2-2.5x
 as long as alone, and a 30x20000 GEMV 0.1-16 ms at two threads against
 0.2-0.6 ms at one.  numpy's copy keeps its threads for the large SVDs.
+The PSD factor, LAPACK's pivoted Cholesky, runs at one thread too: in
+`balance`, numpy's SVD right after a two-thread `?pstrf` took 8-25 ms longer.
 """
 
 import contextlib
@@ -255,6 +257,26 @@ def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):
     finally:
         gc.enable()
     return best
+
+
+def _hermitize(w):
+    """The Hermitian part (W + W*) / 2."""
+    return 0.5 * (w + w.conj().T)
+
+
+def _psd_factor(w):
+    """F with F F* = W for a Hermitian positive semidefinite n x n W:
+    F = P L from LAPACK's pivoted Cholesky P* W P = L L* (`?pstrf`, default
+    tolerance n eps max_i W_ii), n x n and zero past the numerical rank.
+    Non-finite entries raise DimensionError (`?pstrf` calls them rank 0)."""
+    if not np.isfinite(w).all():
+        raise DimensionError("a PSD factor needs finite entries")
+    pstrf = sla.lapack.zpstrf if np.iscomplexobj(w) else sla.lapack.dpstrf
+    with _one_lapack_thread():
+        f, piv, rank, _ = pstrf(_hermitize(w), lower=1)
+    f[np.tri(len(f), k=-1, dtype=bool).T] = 0.0  # the strict upper triangle
+    f[:, rank:] = 0.0  # the unfactored trailing block
+    return f[np.argsort(piv)]
 
 
 def svd(a):

@@ -226,14 +226,6 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     )
 
 
-def _sqrtm_psd(m):
-    """Hermitian PSD square root (for covariance/weight input channels)."""
-    m = matkernel.as_matrix(m)
-    lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    lam = np.clip(lam, 0.0, None)
-    return (v * np.sqrt(lam)) @ v.conj().T
-
-
 def closed_loop_assemble(a, b2, c2, controller, gamma, beta):
     """Interconnect the plant with the subset-restricted controller.
 
@@ -241,9 +233,9 @@ def closed_loop_assemble(a, b2, c2, controller, gamma, beta):
     C2[gamma, :]; the controller keeps its ideal internal dynamics but
     reads only the selected measurements (columns of L) and drives only
     the selected actuators (rows of F).  Exogenous inputs are the process
-    disturbance through w_cov^{1/2} and the measurement noise on the
-    selected sensors through v_cov^{1/2}; the output stacks the weighted
-    state and actuation cost channels.
+    disturbance and the selected sensors' noise, through factors F F* of
+    w_cov and v_cov; the output stacks the state and actuation cost
+    channels, weighted by F* for q_hat and r_hat (H2 sees only B B*, C* C).
     """
     a = matkernel.as_matrix(a)
     b2 = matkernel.as_matrix(b2)
@@ -260,22 +252,22 @@ def closed_loop_assemble(a, b2, c2, controller, gamma, beta):
     cg = c2[gamma, :]
     a_k = controller.controller_model.a
 
-    w_half = _sqrtm_psd(controller.w_cov)
-    v_half_sel = _sqrtm_psd(controller.v_cov[np.ix_(gamma, gamma)])
-    q_half = _sqrtm_psd(controller.q_hat)
-    r_half_sel = _sqrtm_psd(controller.r_hat[np.ix_(beta, beta)])
+    w_f = matkernel._psd_factor(controller.w_cov)
+    v_f = matkernel._psd_factor(controller.v_cov[np.ix_(gamma, gamma)])
+    q_f = matkernel._psd_factor(controller.q_hat)
+    r_f = matkernel._psd_factor(controller.r_hat[np.ix_(beta, beta)])
 
     a_cl = np.block([[a, -bb @ fb], [lg @ cg, a_k]])
     b_cl = np.block(
         [
-            [w_half, np.zeros((n, r_s))],
-            [np.zeros((n, n)), lg @ v_half_sel],
+            [w_f, np.zeros((n, r_s))],
+            [np.zeros((n, n)), lg @ v_f],
         ]
     )
     c_cl = np.block(
         [
-            [q_half, np.zeros((n, n))],
-            [np.zeros((r_a, n)), -r_half_sel @ fb],
+            [q_f.conj().T, np.zeros((n, n))],
+            [np.zeros((r_a, n)), -r_f.conj().T @ fb],
         ]
     )
     return statespace.StateSpaceModel(a_cl, b_cl, c_cl, time_domain=statespace.CONTINUOUS)

@@ -206,6 +206,8 @@ def hinf_estimate(m, grid=None):
     Takes the maximum of the largest singular value of G over the nodes of
     `h2_norm_frequency` (negative frequencies too for complex systems).
     """
+    if not is_stable(m):
+        raise UnstableSystemError("H-infinity norm undefined for unstable systems")
     _, points = _nodes(m, default_grid() if grid is None else grid)
     return float(max(np.linalg.svd(g, compute_uv=False)[0] for g in _responses(m, points)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from balsel import balancing, gramian, statespace
-from balsel.errors import RankError
+from balsel.errors import DimensionError, RankError
 from balsel.models import random_stable_system
 from balsel.statespace import StateSpaceModel
 
@@ -71,14 +71,49 @@ class TestBalance:
         with pytest.raises(RankError, match="admissible rank is 1"):
             balancing.balance(g, 2)
 
-    def test_semidefinite_gramians_use_eig_fallback(self):
-        # rank-1 PSD gramians: Cholesky fails, eigendecomposition path works
+    def test_semidefinite_gramians_use_pivoted_factor(self):
+        # rank-1 PSD gramians: plain Cholesky fails, the pivoted factor works
         u = np.array([[1.0], [2.0]])
         w = (u @ u.T).astype(complex)
         g = gramian.GramianPair(w, w, 0.0, 0.0, source_tag="empirical")
         bal = balancing.balance(g, 1)
         assert bal.hankel[0] > 0
         assert np.linalg.norm(bal.phi_r.conj().T @ bal.psi_r - np.eye(1)) <= 1e-8
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_rank_deficient_pair(self, field):
+        # W = X X* of rank 4 at n = 12: the factor's zero columns keep every
+        # shape, and the Hankel values are sqrt(eig(W_c W_o)), zeros included
+        rng = np.random.default_rng(7)
+
+        def low_rank():
+            x = rng.standard_normal((12, 4)).astype(field)
+            if field is complex:
+                x += 1j * rng.standard_normal((12, 4))
+            return x @ x.conj().T
+
+        g = gramian.GramianPair(low_rank(), low_rank(), 0.0, 0.0, source_tag="empirical")
+        bal = balancing.balance(g, 4)
+        lam = np.sort(np.abs(np.linalg.eigvals(g.w_c @ g.w_o)))[::-1]
+        np.testing.assert_allclose(bal.hankel[:4], np.sqrt(lam[:4]), rtol=1e-9)
+        assert np.all(bal.hankel[4:] <= 1e-12 * bal.hankel[0])
+        assert bal.psi_r.shape == bal.phi_r.shape == (12, 4)
+        assert np.linalg.norm(bal.phi_r.conj().T @ bal.psi_r - np.eye(4)) <= 1e-10
+        with pytest.raises(RankError, match="admissible rank is 4"):
+            balancing.balance(g, 5)
+
+    def test_zero_gramians(self):
+        z = np.zeros((3, 3))
+        with pytest.raises(RankError, match="largest admissible rank is 0"):
+            balancing.balance(gramian.GramianPair(z, z, 0.0, 0.0), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gramian_raises(self, bad):
+        # ?pstrf alone would read a nan or inf diagonal as rank 0
+        w = np.eye(3)
+        w[1, 1] = bad
+        with pytest.raises(DimensionError, match="finite"):
+            balancing.balance(gramian.GramianPair(w, np.eye(3), 0.0, 0.0), 2)
 
     def test_hankel_similarity_invariance(self):
         m = random_stable_system(9, 3, 3, seed=52)

@@ -129,6 +129,10 @@ class TestKeyValueConfig:
         with pytest.raises(FormatError):
             cli.read_keyvalue_config("novalue\n")
 
+    def test_unknown_key_is_named(self):
+        with pytest.raises(FormatError, match="kernel_widht"):
+            cli.gl_params_from_config({"n": "32", "kernel_widht": "0.9"})
+
 
 class TestModelInputErrors:
     @pytest.mark.parametrize(
@@ -203,6 +207,7 @@ class TestBadOptionValues:
             (["gl-demo", "--rank", "1"], {}, "n = abc\n"),
             (["gl-demo", "--rank", "1"], {}, "kernel_width = x\n"),
             (["gl-demo", "--rank", "1"], {}, "mu_profile = 1,a,2\n"),
+            (["gl-demo", "--rank", "1"], {}, "kernel_widht = 0.9\n"),
             (["gl-demo", "--rank", "1", "--freq-grid", "1,0.1,5"], {}, None),
             (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"],
              {"BALSEL_CAP": "abc"}, None),
@@ -218,6 +223,8 @@ class TestBadOptionValues:
             (["bench-random", "--generate", "8,8,8,1", "--rank", "-3"], {}, None),
             (["bench-random", "--generate", "8,8,8,1", "--rank", "0"], {}, None),
             (["bench-random", "--generate", "8,8,8,1", "--ranks", "0-2"], {}, None),
+            (["bench-random", "--generate", "8,8,8,1", "--rank", "2", "--ranks", "1-3",
+              "--ensemble-count", "3"], {}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
               "--freq-grid", "1,0.1,5"], {}, None),
             (["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "h2",
@@ -231,11 +238,12 @@ class TestBadOptionValues:
             (["scaling", "--rank", "-3"], {}, None),
             (["scaling", "--rank", "0"], {}, None),
         ],
-        ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-freq-grid", "cap-env",
-             "cap-env-zero", "cap-neg", "cap-zero", "select-rank-zero", "select-rank-neg",
+        ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-unknown-key", "gl-freq-grid",
+             "cap-env", "cap-env-zero", "cap-neg", "cap-zero", "select-rank-zero",
+             "select-rank-neg",
              "select-rank-budget-differ", "bruteforce-budget-neg",
              "bruteforce-rank-budget-differ", "bench-rank-neg", "bench-rank-zero",
-             "bench-ranks-zero",
+             "bench-ranks-zero", "bench-rank-and-ranks",
              "select-freq-grid", "select-freq-grid-negative", "ensemble-count-neg",
              "ensemble-count-zero", "gl-rank-neg", "gl-rank-zero", "scaling-rank-neg",
              "scaling-rank-zero"],

@@ -154,6 +154,16 @@ class TestLQG:
         assert h2 == pytest.approx(h2_again, rel=1e-12)
         assert np.isfinite(h2) and h2 > 0
 
+    def test_singular_weight_keeps_the_loop_shape(self):
+        # q_hat of rank 3: its factor has zero columns, not fewer columns
+        m = models.random_stable_system(6, 4, 4, seed=92)
+        x = np.random.default_rng(3).standard_normal((6, 3))
+        q_hat = x @ x.T
+        ctl = models.lqg_synthesize(m.a, m.b, m.c, q_hat=q_hat)
+        cl = models.closed_loop_assemble(m.a, m.b, m.c, ctl, np.arange(2), np.arange(3))
+        assert cl.c.shape == (6 + 3, 12)
+        np.testing.assert_allclose((cl.c.conj().T @ cl.c)[:6, :6], q_hat, rtol=0, atol=1e-12)
+
     def test_zero_gain_controller_keeps_plant_eigenvalues(self):
         params = models.GinzburgLandauParams(n=24)
         a, b2, c2 = models.ginzburg_landau_plant(params)
@@ -265,6 +275,18 @@ class TestGLPipelineSmall:
         assert refined["selection"].gamma.tolist() == unrefined["selection"].gamma.tolist()
         assert refined["selection"].beta.tolist() == unrefined["selection"].beta.tolist()
         assert refined["h2"] == pytest.approx(unrefined["h2"], rel=1e-9)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        # every PSD factor, gramian or closed-loop weight, is a pivoted Cholesky
+        sizes = []
+
+        def counting(a, *args, _inner=np.linalg.eigh, **kwargs):
+            sizes.append(len(a))
+            return _inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
+        assert sizes == []
 
     def test_noncollocated_full_size_sensors_stay_near_actuators(self):
         # excluded from actuator grid points, the sensors settle on

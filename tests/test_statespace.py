@@ -108,6 +108,10 @@ class TestH2Norms:
         m = StateSpaceModel([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(UnstableSystemError):
             statespace.h2_norm_frequency(m)
+        md = StateSpaceModel([[1.2]], [[1.0]], [[1.0]], time_domain=statespace.DISCRETE)
+        for unstable in (m, md):
+            with pytest.raises(UnstableSystemError):
+                statespace.hinf_estimate(unstable)
 
     def test_scalar_frequency_quadrature(self):
         m = scalar_model()
@@ -248,9 +252,10 @@ class TestHinfEstimate:
         assert coarse <= fine + 1e-12
 
     def test_node_on_an_eigenvalue_raises(self):
-        # s = 0 is the first node of the half-line and an eigenvalue of A = 0
+        # A = 0 is marginal, so the stability test rejects it before s = 0,
+        # the first node of the half-line, meets its eigenvalue
         m = StateSpaceModel([[0.0]], [[1.0]], [[1.0]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(UnstableSystemError):
             statespace.hinf_estimate(m)
 
 
