@@ -167,9 +167,19 @@ def _read_matrix_tokens(tokens):
     return data.reshape(rows, cols)
 
 
+def _expect_end(tokens):
+    """FormatError naming the first token left after the last block."""
+    extra = next(tokens, None)
+    if extra is not None:
+        raise FormatError(f"unexpected trailing input {extra!r}")
+
+
 def read_matrix(text):
     """Parse one matrix block from text in the matrix text format."""
-    return _read_matrix_tokens(_Tokens(text))
+    tokens = _Tokens(text)
+    a = _read_matrix_tokens(tokens)
+    _expect_end(tokens)
+    return a
 
 
 def write_model(fh, m):
@@ -197,6 +207,7 @@ def read_model(text):
     a = _read_matrix_tokens(tokens)
     b = _read_matrix_tokens(tokens)
     c = _read_matrix_tokens(tokens)
+    _expect_end(tokens)
     try:
         return statespace.StateSpaceModel(a, b, c, time_domain=domain)
     except BalselError as exc:
@@ -350,8 +361,9 @@ def cmd_select(args):
     if args.metric == "h2":
         print(f"h2_norm {_fmt(h2[0])}")
         print(f"h2_norm_frequency {_fmt(h2[1])}")
-    err_explicit = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
-    err_sqrt_p = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel, form="sqrt_p")
+    err_explicit, err_sqrt_p = selection._state_error_bounds(
+        m.c, bal.psi_r, bal.hankel, ("explicit", "sqrt_p"), "sensors"
+    )
     low_s = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, sel.gamma)
     low_a = selection.actuator_logdet_lower_bound(m.b, bal.phi_r, bal.hankel, sel.beta)
     print(f"interp_error_bound {_fmt(err_explicit)}")

@@ -3,11 +3,16 @@
 The continuous Lyapunov equation A W + W A* + M = 0 and the Stein equation
 A W A* - W + M = 0 share one solver, `_solve_from_schur`; a `discrete` flag
 picks the stability and ill-posedness tests on the Schur diagonal and the
-equation the recursive blocked triangular kernel `_tri_solve` solves.  Its
-one leaf, a ZTRTRS column sweep, serves both equations on blocks of at
-most _LEAF.  Complex Schur form serves real and complex systems alike, and
-real data get a real solution.  `compute_gramians` factors A once per
-gramian pair and reads the Schur form of A* off it by a flip (see there).
+equation the triangular kernels solve.  The Hermitian right-hand side goes
+to the symmetric recursion `_hermitian_solve`, which hands only its
+off-diagonal blocks to the general recursive blocked kernel `_tri_solve`;
+one leaf, a ZTRTRS column sweep, serves both kernels and both equations on
+blocks of at most _LEAF.  The triangular equation is complex, but for a
+real A every n x n product around it is real: `matkernel.schur` keeps the
+real Schur vectors V and the 2x2 rotations Z that fold the real Schur form
+into the complex one, U = V Z, and real data get a real solution.
+`compute_gramians` factors A once per gramian pair and reads the Schur
+form of A* off it by a flip (see there).
 The Riccati solver is Laub's ordered-Schur method on the Hamiltonian
 matrix with one Newton refinement step when the residual warrants it.
 """
@@ -77,21 +82,22 @@ def _leaf(a, b, c, discrete):
     (A - I / conj(b_kk)) x_k = rhs_k / conj(b_kk), where rhs_k is c_k less
     the update X[:, k+1:] conj(b[k, k+1:]), premultiplied by A for Stein;
     a Stein b_kk = 0 gives x_k = -rhs_k.  The coefficient is one copy of A
-    whose diagonal is rewritten per column.
+    whose diagonal is rewritten per column through a strided view.
     """
     m, n = c.shape
     coef = np.array(a, order="F")
     lam = np.diag(a).copy()
-    diag = np.arange(m)
+    diag = coef.T.reshape(-1)[:: m + 1]  # a view: coef.T is C-contiguous
+    bh = b.conj()
     x = np.empty((m, n), dtype=np.complex128, order="F")
     for k in range(n - 1, -1, -1):
-        upd = x[:, k + 1 :] @ b[k, k + 1 :].conj()
+        upd = x[:, k + 1 :] @ bh[k, k + 1 :]
         rhs = c[:, k] - (a @ upd if discrete else upd)
-        bkk = np.conj(b[k, k])
+        bkk = bh[k, k]
         if discrete and bkk == 0.0:
             x[:, k] = -rhs
             continue
-        coef[diag, diag] = lam - 1.0 / bkk if discrete else lam + bkk
+        diag[:] = lam - 1.0 / bkk if discrete else lam + bkk
         xk, info = lapack.ztrtrs(coef, rhs / bkk if discrete else rhs)
         if info > 0:
             raise IllPosedError(_ILL_POSED[discrete])
@@ -127,10 +133,40 @@ def _tri_solve(a, b, c, discrete):
     return x
 
 
-def _solve_from_schur(u, t, m, discrete):
+def _hermitian_solve(t, c, discrete):
+    """Solve T X + X T* = C, or T X T* - X = C if `discrete`, for upper
+    triangular T and Hermitian C.
+
+    The symmetric recursions RECLYCT/RECLYDT of the same paper as
+    `_tri_solve`: with X = [[X11, X12], [X12*, X22]] split at h = n // 2,
+    X22 and then X11 (its right-hand side less S + S*) are Hermitian
+    subproblems, and only X12 goes to `_tri_solve`.  Blocks of at most
+    _LEAF go to `_leaf`.
+    """
+    n = len(c)
+    if n <= _LEAF:
+        return _leaf(t, t, c, discrete)
+    h = n // 2
+    t11, t12, t22 = t[:h, :h], t[:h, h:], t[h:, h:]
+    x = np.empty((n, n), dtype=np.complex128)
+    x[h:, h:] = _hermitian_solve(t22, c[h:, h:], discrete)
+    f = t12 @ x[h:, h:]
+    x[:h, h:] = _tri_solve(t11, t22, c[:h, h:] - (f @ t22.conj().T if discrete else f), discrete)
+    # S = X12 T12*, or (T11 X12 + F / 2) T12* for Stein, F = T12 X22
+    s = (t11 @ x[:h, h:] + 0.5 * f if discrete else x[:h, h:]) @ t12.conj().T
+    x[:h, :h] = _hermitian_solve(t11, c[:h, :h] - s - s.conj().T, discrete)
+    x[h:, :h] = x[:h, h:].conj().T
+    return x
+
+
+def _solve_from_schur(form, m, discrete):
     """Solve A W + W A* + M = 0, or A W A* - W + M = 0 if `discrete`, given
-    the Schur form A = U T U*."""
-    lam = np.diag(t)
+    the Schur form A = U T U* (`matkernel.SchurForm`, U = V Z).
+
+    U* M U is formed as Z* (V* M V) Z and U X U* as V (Z X Z*) V*, so a
+    real A keeps its GEMMs real; W is real when A and M are.
+    """
+    lam = np.diag(form.t)
     unstable = statespace._instability(lam, discrete)
     if unstable:
         eq = "the Stein equation needs a Schur-stable A" if discrete else (
@@ -142,8 +178,12 @@ def _solve_from_schur(u, t, m, discrete):
         gap, tol = np.abs(lam[:, None] + lam.conj()), 1e-12 * max(np.abs(lam).max(), 1.0)
     if np.min(gap) <= tol:
         raise IllPosedError(_ILL_POSED[discrete])
-    x = _tri_solve(t, t, -(u.conj().T @ m @ u), discrete)
-    return _hermitize(u @ x @ u.conj().T)
+    v = form.v
+    x = _hermitian_solve(form.t, -_hermitize(form.fold(v.conj().T @ m @ v)), discrete)
+    y = form.unfold(x)
+    if not (np.iscomplexobj(v) or np.iscomplexobj(m) and np.any(m.imag)):
+        y = y.real
+    return _hermitize(v @ y @ v.conj().T)
 
 
 def _solve(a, m, discrete):
@@ -152,8 +192,7 @@ def _solve(a, m, discrete):
     n = a.shape[0]
     if a.shape[1] != n or m.shape != (n, n):
         raise DimensionError("coefficient and right-hand side must be square, same size")
-    u, t = matkernel.schur(a)
-    return _real_if_real_inputs(_solve_from_schur(u, t, m, discrete), a, m)
+    return _solve_from_schur(matkernel.schur(a), m, discrete)
 
 
 def solve_lyapunov_continuous(a, m):
@@ -181,21 +220,19 @@ def stein_residual(a, w, m):
 def compute_gramians(m):
     """Exact controllability and observability gramians of a stable model.
 
-    A is factored once.  The adjoint's Schur form is the flipped one,
-    A* = (U J)(J T* J)(U J)*, with J the reversal permutation, so J T* J is
-    again upper triangular.  Stability is not tested separately: the
-    solver raises UnstableSystemError from the Schur form's diagonal.
+    A is factored once, and the adjoint's Schur form is read off it by a
+    flip (`matkernel.SchurForm.adjoint`).  Stability is not tested
+    separately: the solver raises UnstableSystemError from the Schur form's
+    diagonal.
     """
     bb = m.b @ m.b.conj().T
     cc = m.c.conj().T @ m.c
-    u, t = matkernel.schur(m.a)
-    u_adj = np.ascontiguousarray(u[:, ::-1])
-    t_adj = np.ascontiguousarray(t.conj().T[::-1, ::-1])
+    form = matkernel.schur(m.a)
     a_adj = m.a.conj().T
     discrete = m.time_domain == statespace.DISCRETE
     residual = stein_residual if discrete else lyapunov_residual
-    w_c = _real_if_real_inputs(_solve_from_schur(u, t, bb, discrete), m.a, bb)
-    w_o = _real_if_real_inputs(_solve_from_schur(u_adj, t_adj, cc, discrete), a_adj, cc)
+    w_c = _solve_from_schur(form, bb, discrete)
+    w_o = _solve_from_schur(form.adjoint(), cc, discrete)
     res_c = residual(m.a, w_c, bb)
     res_o = residual(a_adj, w_o, cc)
     return GramianPair(w_c, w_o, res_c, res_o, source_tag="exact")

@@ -3,8 +3,11 @@
 Every routine keeps the field of its input (`as_matrix`): numpy and LAPACK
 pick real or complex arithmetic from the dtype, and the adjoint is always
 the conjugate transpose.  Only `schur` returns complex factors for a real
-matrix, whose real Schur form it splits by `rsf2csf`.  SVD and Schur are
-thin wrappers around LAPACK with the conventions used here.
+matrix: it keeps the real Schur vectors V and folds the real Schur form
+into the complex one by a block-diagonal unitary Z, one 2x2 rotation per
+complex-conjugate eigenvalue pair, so U = V Z (`SchurForm`).  SVD, Schur
+and `eigvals` are thin wrappers around LAPACK with the conventions used
+here.
 
 The column-pivoted QR is written here because its pivot sequence is the
 product the package consumes.  Its loop is swap-free: columns keep their
@@ -12,13 +15,14 @@ positions, and each step applies its Householder reflector to all of them
 in place by one level-2 BLAS `gemv` and one `ger`, then stores it.  Q and R
 are formed from the stored reflectors only when read.
 
-Schur decompositions and the pivoting loop run with scipy's OpenBLAS at
-one thread (`_one_lapack_thread`).  numpy and scipy each bundle an OpenBLAS
-with its own thread pool on the same CPUs; while one pool works the other's
-idle workers spin, so a two-thread scipy call waits at every barrier.  On
-2 CPUs a 200x200 complex Schur in the Ginzburg-Landau pipeline took 2-2.5x
-as long as alone, and a 30x20000 GEMV 0.1-16 ms at two threads against
-0.2-0.6 ms at one.  numpy's copy keeps its threads for the large SVDs.
+Schur decompositions, eigenvalues and the pivoting loop run with scipy's
+OpenBLAS at one thread (`_one_lapack_thread`).  numpy and scipy each bundle
+an OpenBLAS with its own thread pool on the same CPUs; while one pool works
+the other's idle workers spin, so a two-thread scipy call waits at every
+barrier.  On 2 CPUs a 200x200 complex Schur in the Ginzburg-Landau pipeline
+took 2-2.5x as long as alone, and a 30x20000 GEMV 0.1-16 ms at two threads
+against 0.2-0.6 ms at one.  numpy's copy keeps its threads for the large
+SVDs.
 The PSD factor, LAPACK's pivoted Cholesky, runs at one thread too: in
 `balance`, numpy's SVD right after a two-thread `?pstrf` took 8-25 ms longer.
 """
@@ -45,6 +49,7 @@ __all__ = [
     "PivotedQR",
     "pivoted_qr",
     "svd",
+    "SchurForm",
     "schur",
     "logdet_abs",
 ]
@@ -321,12 +326,79 @@ def _one_lapack_thread():
         put(previous)
 
 
-def schur(a):
-    """Complex Schur decomposition a = u @ t @ u* with t upper triangular.
+@dataclass
+class SchurForm:
+    """A = U T U* with T upper triangular; unpacks as `u, t = schur(a)`.
 
-    A matrix with no imaginary part is reduced to real Schur form and its
-    2x2 blocks are then split by `rsf2csf`, which is cheaper than the QR
-    iteration in complex arithmetic.  LAPACK runs on one scipy BLAS thread.
+    For complex A, `v` is U itself.  For real A, `v` holds the real
+    orthogonal vectors V of the real Schur form R = V^T A V, and U = V Z,
+    T = Z* R Z: the fold Z is the identity but for the unitary 2x2 block
+    rot[i] in rows and columns pairs[i] and pairs[i] + 1, one per 2x2
+    diagonal block of R.  LAPACK's blocks never touch, so Z is
+    block-diagonal, and `fold` and `unfold` apply it by O(n^2) row and
+    column pair updates.  U itself is formed only when read.
+    """
+
+    v: np.ndarray
+    t: np.ndarray
+    pairs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    rot: np.ndarray = field(default_factory=lambda: np.empty((0, 2, 2), dtype=np.complex128))
+
+    @functools.cached_property
+    def u(self):
+        u = self.v.astype(np.complex128)
+        _pair_rows(u.T, self.pairs, self.rot.transpose(0, 2, 1))  # (V Z)^T = Z^T V^T
+        return u
+
+    def __iter__(self):
+        return iter((self.u, self.t))
+
+    def __getitem__(self, i):
+        return (self.u, self.t)[i]
+
+    def fold(self, x):
+        """Z* X Z; a complex X is overwritten, a real one copied."""
+        x = np.asarray(x, dtype=np.complex128)
+        _pair_rows(x, self.pairs, self.rot.conj().transpose(0, 2, 1))
+        _pair_rows(x.T, self.pairs, self.rot.transpose(0, 2, 1))
+        return x
+
+    def unfold(self, x):
+        """Z X Z*, the inverse of `fold`; a complex X is overwritten."""
+        x = np.asarray(x, dtype=np.complex128)
+        _pair_rows(x, self.pairs, self.rot)
+        _pair_rows(x.T, self.pairs, self.rot.conj())
+        return x
+
+    def adjoint(self):
+        """The Schur form of A*: A* = (U J)(J T* J)(U J)* with J the reversal
+        permutation, so J T* J is again upper triangular, U J = (V J)(J Z J),
+        and J Z J is again a fold, its blocks mirrored."""
+        return SchurForm(
+            np.ascontiguousarray(self.v[:, ::-1]),
+            np.ascontiguousarray(self.t.conj().T[::-1, ::-1]),
+            len(self.t) - 2 - self.pairs[::-1],
+            self.rot[::-1, ::-1, ::-1],
+        )
+
+
+def _pair_rows(x, pairs, g):
+    """Rows k, k + 1 of `x` <- g[i] @ those rows for each k = pairs[i], in place."""
+    rows = pairs[:, None] + np.arange(2)
+    x[rows] = g @ x[rows]
+
+
+def schur(a):
+    """Schur decomposition a = u @ t @ u* with t upper triangular, as a
+    `SchurForm`.
+
+    A matrix with no imaginary part is reduced to real Schur form, which is
+    cheaper than the QR iteration in complex arithmetic.  LAPACK's `dgees`
+    standardizes each 2x2 diagonal block, in rows k and k + 1, to
+    [[a, b], [c, a]] with b c < 0; its rotation turns e_k into the unit
+    eigenvector (mu, c) / |(mu, c)| of the eigenvalue a + mu,
+    mu = i sqrt(|b|) sqrt(|c|), and all blocks are folded in one vectorized
+    step.  LAPACK runs on one scipy BLAS thread.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -335,17 +407,29 @@ def schur(a):
         with _one_lapack_thread():
             if np.any(a.imag):
                 t, u = sla.schur(a, output="complex")
-            else:
-                t, u = sla.rsf2csf(*sla.schur(a.real, output="real"))
+                return SchurForm(u, t)
+            r, v = sla.schur(a.real, output="real")
     except sla.LinAlgError as exc:  # QR iteration failed to converge
         raise NumericError(f"schur iteration did not converge: {exc}") from exc
-    return u, t
+    k = np.flatnonzero(np.diag(r, -1))  # the first row of each 2x2 block
+    mu = 1j * np.sqrt(np.abs(r[k, k + 1])) * np.sqrt(np.abs(r[k + 1, k]))
+    rho = np.hypot(mu.imag, r[k + 1, k])
+    c, s = mu / rho, r[k + 1, k] / rho
+    rot = np.array([[c, -s], [s, c.conj()]]).transpose(2, 0, 1)
+    form = SchurForm(v, r, k, rot)
+    form.t = form.fold(r)
+    form.t[k + 1, k] = 0.0
+    return form
 
 
 def eigvals(a):
-    """Eigenvalues of a square matrix, via the complex Schur form."""
-    _, t = schur(a)
-    return np.diag(t)
+    """Eigenvalues of a square matrix, without Schur vectors (LAPACK `?geev`
+    on one scipy BLAS thread)."""
+    try:
+        with _one_lapack_thread():
+            return sla.eigvals(as_matrix(a))
+    except sla.LinAlgError as exc:
+        raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def logdet_abs(a):

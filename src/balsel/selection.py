@@ -210,13 +210,13 @@ def sensor_state_error_bound(c, psi_r, hankel, form="explicit"):
     `form="explicit"` uses the sqrt(p-r+1) pivot-growth constant;
     `form="sqrt_p"` the looser sqrt(p) * 2^r restatement.
     """
-    return _state_error_bound(c, psi_r, hankel, form, "sensors")
+    return _state_error_bounds(c, psi_r, hankel, (form,), "sensors")[0]
 
 
 def actuator_state_error_bound(b, phi_r, hankel, form="explicit"):
     """Dual bound on ||z - P_B z||_2 for QR-selected actuators."""
     b = matkernel.as_matrix(b)
-    return _state_error_bound(b.conj().T, phi_r, hankel, form, "actuators")
+    return _state_error_bounds(b.conj().T, phi_r, hankel, (form,), "actuators")[0]
 
 
 def _sampled(c, psi_r, what):
@@ -227,17 +227,17 @@ def _sampled(c, psi_r, what):
     return c, psi_r, p, r, _smin(c @ psi_r, "C Psi_r")
 
 
-def _state_error_bound(c, psi_r, hankel, form, what):
+def _state_error_bounds(c, psi_r, hankel, forms, what):
+    """The state error bound in each of `forms`; sigma_min(C Psi_r) and the
+    norms are computed once for all of them."""
     c, psi_r, p, r, smin = _sampled(c, psi_r, what)
     tail = 2.0 * np.sum(np.asarray(hankel, dtype=float)[r:])
-    if form == "explicit":
-        growth = _growth_factor(p, r)
-    elif form == "sqrt_p":
-        growth = np.sqrt(float(p)) * 2.0**r
-    else:
-        raise ValueError(f"unknown bound form {form!r}")
+    growth = {"explicit": _growth_factor(p, r), "sqrt_p": np.sqrt(float(p)) * 2.0**r}
+    unknown = [form for form in forms if form not in growth]
+    if unknown:
+        raise ValueError(f"unknown bound form {unknown[0]!r}")
     norms = np.sqrt(_gram_eigvalsh(c)[-1] * _gram_eigvalsh(psi_r)[-1])  # ||C|| ||Psi_r||
-    return float(norms / smin * growth * tail)
+    return [float(norms / smin * growth[form] * tail) for form in forms]
 
 
 def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):

@@ -35,3 +35,17 @@ def schur_calls(monkeypatch):
 
     monkeypatch.setattr(matkernel, "schur", counting)
     return calls
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Record the size of every eigenvalue-only computation made via matkernel."""
+    calls = []
+    inner = matkernel.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a)[0])
+        return inner(a)
+
+    monkeypatch.setattr(matkernel, "eigvals", counting)
+    return calls

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from balsel import cli, evaluation, gramian, models, statespace
+from balsel import cli, evaluation, gramian, models, selection, statespace
 from balsel.errors import FormatError, SynthesisError
 
 
@@ -87,6 +87,23 @@ class TestMatrixFormat:
     def test_short_block(self):
         with pytest.raises(FormatError, match=r"^matrix block ended early$"):
             cli.read_matrix("matrix 2 2 real\n1 2\n3 # 4\n")
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            ("matrix 1 1 real\n1 2 3", "2"),
+            ("matrix 1 1 real\n1\nmatrix 1 1 real\n2\n", "matrix"),
+            ("matrix 1 1 complex\n1,0 # ok\n\n junk # more\n", "junk"),
+        ],
+        ids=["same-line", "second-block", "after-comment"],
+    )
+    def test_trailing_input_rejected(self, text, extra):
+        with pytest.raises(FormatError, match=rf"^unexpected trailing input '{extra}'$"):
+            cli.read_matrix(text)
+
+    def test_trailing_comments_and_blank_lines_allowed(self):
+        text = "matrix 1 1 real\n1 # one\n\n   \n# the end\n"
+        np.testing.assert_array_equal(cli.read_matrix(text).real, [[1.0]])
 
     @pytest.mark.parametrize(
         "field, row",
@@ -277,6 +294,27 @@ class TestGramiansCommand:
         bad.write_text("model continuous\nmatrix 1 1 real\n")
         assert run(["gramians", "--model", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "tail, extra",
+        [("matrix 9 9 real\n", "matrix"), ("garbage here\n", "garbage")],
+        ids=["fourth-block", "garbage"],
+    )
+    def test_trailing_input_exit_3(self, tmp_path, capsys, tail, extra):
+        path = write_scalar_model(tmp_path / "m.txt")
+        with open(path, "a") as fh:
+            fh.write("# a comment and a blank line are fine\n\n" + tail)
+        assert run(["gramians", "--model", str(path), "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:")
+        assert f"unexpected trailing input '{extra}'" in captured.err
+        assert not (tmp_path / "Wc.txt").exists()
+
+    def test_trailing_comments_and_blank_lines_allowed(self, tmp_path, capsys):
+        path = write_scalar_model(tmp_path / "m.txt")
+        with open(path, "a") as fh:
+            fh.write("\n# written by hand\n   \n")
+        assert run(["gramians", "--model", str(path), "--out", str(tmp_path)]) == 0
+
     def test_generated_outputs_reload_psd(self, tmp_path, capsys):
         out = tmp_path / "g"
         assert (
@@ -329,6 +367,20 @@ class TestSelectCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_state_bound_samples_once(self, capsys, monkeypatch):
+        # both printed forms of the state error bound share one C Psi_r,
+        # its sigma_min and the norms
+        calls = []
+
+        def counting(c, psi_r, what, _inner=selection._sampled):
+            calls.append(what)
+            return _inner(c, psi_r, what)
+
+        monkeypatch.setattr(selection, "_sampled", counting)
+        assert run(["select", "--generate", "30,8,8,2", "--rank", "3"]) == 0
+        # the state bound, then the sensor and actuator log-det bounds
+        assert calls == ["sensors", "sensors", "actuators"]
 
     def test_csv_written(self, tmp_path, capsys):
         out = tmp_path / "sel.csv"

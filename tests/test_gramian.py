@@ -290,6 +290,42 @@ class TestTriSolveAtTheLeafSize:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestHermitianSolve:
+    # the symmetric recursion against the general kernel on the full
+    # matrix; sizes stay inside one leaf, split once or split twice
+    @pytest.mark.parametrize("n", [1, 5, 128, 129, 200, 257, 400])
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+    def test_matches_general_solve(self, n, discrete):
+        rng = np.random.default_rng(7 * n + discrete)
+        t = _random_triangular(rng, n, discrete)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = g + g.conj().T
+        x = gramian._hermitian_solve(t, c, discrete)
+        ref = gramian._tri_solve(t, t, c, discrete)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        h = n // 2  # the lower block is the adjoint of the solved upper one
+        if n > gramian._LEAF:
+            np.testing.assert_array_equal(x[h:, :h], x[:h, h:].conj().T)
+
+
+class TestRealModelsMatchScipy:
+    # real A: the gramians come from the real Schur vectors and the fold
+    @pytest.mark.parametrize("n", [60, 300])
+    @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+    def test_against_scipy(self, n, domain):
+        m = random_stable_system(n, 3, 4, seed=n + 1, time_domain=domain)
+        g = gramian.compute_gramians(m)
+        assert g.w_c.dtype == g.w_o.dtype == np.float64
+        bb, cc = m.b @ m.b.T, m.c.T @ m.c
+        if domain == statespace.CONTINUOUS:
+            refs = (sla.solve_continuous_lyapunov(m.a, -bb),
+                    sla.solve_continuous_lyapunov(m.a.T, -cc))
+        else:
+            refs = (sla.solve_discrete_lyapunov(m.a, bb), sla.solve_discrete_lyapunov(m.a.T, cc))
+        for w, ref in zip((g.w_c, g.w_o), refs):
+            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestSolversPastTheLeaf:
     # n = 300 is past twice the leaf size, so the recursion splits before
     # it reaches the leaf solvers

@@ -248,6 +248,67 @@ class TestSchur:
         assert gap.min(axis=1).max() <= 1e-10 * np.abs(ref).max()
 
 
+def _block_rich(n, seed):
+    """A real n x n matrix with n // 2 complex-conjugate eigenvalue pairs,
+    so its real Schur form has n // 2 2x2 blocks."""
+    rng = np.random.default_rng(seed)
+    d = np.zeros((n, n))
+    for k in range(0, n - 1, 2):
+        d[k : k + 2, k : k + 2] = [[-0.1 * k, 1.0 + k], [-(1.0 + k), -0.1 * k]]
+    if n % 2:
+        d[-1, -1] = -1.0
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return q @ (d + np.triu(rng.standard_normal((n, n)), 2)) @ q.T
+
+
+class TestFold:
+    """The real Schur form folded into the complex one against scipy's rsf2csf,
+    which splits the same real form block by block in a Python loop."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            _block_rich(41, 1),
+            _block_rich(120, 2),
+            np.random.default_rng(3).standard_normal((60, 60)),
+            np.triu(np.random.default_rng(4).standard_normal((30, 30))),
+            np.array([[2.0]]),
+        ],
+        ids=["rotation", "blocks-41", "blocks-120", "random-60", "triangular", "scalar"],
+    )
+    def test_matches_rsf2csf(self, a):
+        form = matkernel.schur(a)
+        with matkernel._one_lapack_thread():
+            r, v = sla.schur(a, output="real")
+        t_ref, u_ref = sla.rsf2csf(r, v)
+        assert form.pairs.size == np.count_nonzero(np.diag(r, -1))
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(form.u - u_ref).max() <= 1e-13
+        assert np.abs(form.t - t_ref).max() <= 1e-13 * scale
+        assert not np.any(np.tril(form.t, -1))
+
+    def test_no_blocks_leaves_the_real_form(self):
+        a = np.triu(np.random.default_rng(6).standard_normal((20, 20)))
+        form = matkernel.schur(a + a.T)  # symmetric: real eigenvalues only
+        assert form.pairs.size == 0
+        np.testing.assert_array_equal(form.u, form.v)
+        assert not np.any(form.t.imag)
+
+    def test_fold_unfold_and_adjoint(self):
+        a = _block_rich(41, 7)
+        form = matkernel.schur(a)
+        x = np.random.default_rng(8).standard_normal((41, 41))
+        np.testing.assert_allclose(form.fold(x), form.u.conj().T @ form.v @ x @ form.v.T @ form.u,
+                                   atol=1e-13 * np.abs(x).max())
+        np.testing.assert_allclose(form.unfold(form.fold(x)), x, atol=1e-14 * np.abs(x).max())
+        adj = form.adjoint()
+        np.testing.assert_allclose(adj.u, form.u[:, ::-1], atol=1e-15)
+        u, t = adj
+        assert not np.any(np.tril(t, -1))
+        assert np.linalg.norm(u @ t @ u.conj().T - a.T) <= 1e-13 * np.linalg.norm(a)
+
+
 class TestOneLapackThread:
     """Schur forms run with scipy's OpenBLAS at one thread; its count comes back."""
 
@@ -264,21 +325,22 @@ class TestOneLapackThread:
 
     @pytest.fixture
     def schur_threads(self, monkeypatch, blas):
-        """scipy's OpenBLAS thread count seen by every sla.schur call."""
+        """scipy's OpenBLAS thread count seen by every sla.schur and
+        sla.eigvals call."""
         seen = []
-        inner = sla.schur
+        for name in ("schur", "eigvals"):
 
-        def recording(*args, **kwargs):
-            seen.append(blas[0]())
-            return inner(*args, **kwargs)
+            def recording(*args, _inner=getattr(sla, name), **kwargs):
+                seen.append(blas[0]())
+                return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "schur", recording)
+            monkeypatch.setattr(sla, name, recording)
         return seen
 
     def test_gl_pipeline_restores_count(self, blas, schur_threads):
         models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
         # the Hamiltonian Schur forms of both Riccati solves, the two
-        # closed-loop checks and both gramian pairs
+        # closed-loop eigenvalue checks and both gramian pairs
         assert schur_threads == [1] * 6
         assert blas[0]() == 2
 

@@ -260,7 +260,9 @@ class TestGLPipelineSmall:
         assert sel.collocation_forbidden == no_collocate
 
     @pytest.mark.parametrize("r", [3, 5])
-    def test_riccati_newton_step_keeps_the_answer(self, monkeypatch, schur_calls, r):
+    def test_riccati_newton_step_keeps_the_answer(
+        self, monkeypatch, schur_calls, eigvals_calls, r
+    ):
         # whether solve_care takes its Newton step can hinge on rounding (the
         # BLAS thread count): at n = 100 the filter residual sits near
         # _REFINE_TOL.  Forcing the step on and off must not move the answer.
@@ -268,9 +270,12 @@ class TestGLPipelineSmall:
         for tol in (0.0, np.inf):
             monkeypatch.setattr(gramian, "_REFINE_TOL", tol)
             schur_calls.clear()
+            eigvals_calls.clear()
             outs.append(models.gl_pipeline(models.GinzburgLandauParams(n=28), r))
-            # each Newton step is one Lyapunov solve, one more Schur form
-            assert len(schur_calls) == (6 if tol == 0.0 else 4)
+            # each Newton step is one Lyapunov solve, one more Schur form;
+            # each Riccati closed-loop check takes eigenvalues only
+            assert len(schur_calls) == (4 if tol == 0.0 else 2)
+            assert eigvals_calls == [28, 28]
         refined, unrefined = outs
         assert refined["selection"].gamma.tolist() == unrefined["selection"].gamma.tolist()
         assert refined["selection"].beta.tolist() == unrefined["selection"].beta.tolist()
@@ -329,9 +334,11 @@ class TestSchurCount:
         # the gramian solve proves stability for both H2 forms
         assert schur_calls == [30]
 
-    def test_gl_pipeline(self, schur_calls):
+    def test_gl_pipeline(self, schur_calls, eigvals_calls):
         pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
         assert pipe["stable"]
-        # two Riccati closed-loop checks, the controller's gramian pair
-        # (which also proves the controller stable) and the closed loop's pair
-        assert schur_calls == [28, 28, 28, 56]
+        # the controller's gramian pair (which also proves the controller
+        # stable) and the closed loop's pair; the two Riccati closed-loop
+        # checks take eigenvalues only, without Schur vectors
+        assert schur_calls == [28, 56]
+        assert eigvals_calls == [28, 28]
