@@ -10,19 +10,22 @@ and `eigvals` are thin wrappers around LAPACK with the conventions used
 here.
 
 The column-pivoted QR is written here because its pivot sequence is the
-product the package consumes.  Its loop is swap-free: columns keep their
-positions, and each step applies its Householder reflector to all of them
-in place by one level-2 BLAS `gemv` and one `ger`, then stores it.  Q and R
-are formed from the stored reflectors only when read.
+product the package consumes.  Its loop tracks squared residual norms only
+and never writes V: each step orthogonalizes the pivot column against an
+orthonormal basis of the earlier ones by classical Gram-Schmidt applied
+twice, as accurate as Householder here (Giraud, Langou & Rozloznik,
+Numer. Math. 101 (2005)), and downdates every norm from one level-2 BLAS
+`gemv`.  Q and R are formed only when read, by one LAPACK QR of the
+permuted columns.
 
-Schur decompositions, eigenvalues and the pivoting loop run with scipy's
-OpenBLAS at one thread (`_one_lapack_thread`).  numpy and scipy each bundle
-an OpenBLAS with its own thread pool on the same CPUs; while one pool works
-the other's idle workers spin, so a two-thread scipy call waits at every
-barrier.  On 2 CPUs a 200x200 complex Schur in the Ginzburg-Landau pipeline
-took 2-2.5x as long as alone, and a 30x20000 GEMV 0.1-16 ms at two threads
-against 0.2-0.6 ms at one.  numpy's copy keeps its threads for the large
-SVDs.
+Schur decompositions, eigenvalues, the pivoting loop and its QR run with
+scipy's OpenBLAS at one thread (`_one_lapack_thread`).  numpy and scipy each
+bundle an OpenBLAS with its own thread pool on the same CPUs; while one
+pool works the other's idle workers spin, so a two-thread scipy call waits
+at every barrier.  On 2 CPUs a 200x200 complex Schur in the Ginzburg-Landau
+pipeline took 2-2.5x as long as alone, and a 30x20000 GEMV 0.1-16 ms at two
+threads against 0.2-0.6 ms at one.  numpy's copy keeps its threads for the
+large SVDs.
 The PSD factor, LAPACK's pivoted Cholesky, runs at one thread too: in
 `balance`, numpy's SVD right after a two-thread `?pstrf` took 8-25 ms longer.
 """
@@ -75,31 +78,22 @@ class PivotedQR:
     pivot_order is the full column permutation: the n_steps pivots in the
     order they were chosen, then every other column in ascending original
     order.  r_diagonal holds |R_kk| for the pivots and is non-increasing.
-    q_factor and r_factor are formed from the stored reflectors the first
-    time they are read, with R's diagonal real and nonnegative.
+    q_factor (m x m) and r_factor are formed the first time they are read,
+    by one unpivoted LAPACK QR of V P on the result's own copy of V, with
+    R's diagonal real and nonnegative.
     """
 
     pivot_order: np.ndarray
     r_diagonal: np.ndarray
     n_steps: int
-    reduced: np.ndarray = field(repr=False)  # Q* V, columns in original order
-    reflectors: list = field(repr=False)  # (w, tau) per step; None: no-op
+    v: np.ndarray = field(repr=False)  # a copy of the input
 
     @functools.cached_property
     def _factors(self):
-        # the tail columns get unpivoted reflections, so R is triangular
-        a, refl = self.reduced.copy(), list(self.reflectors)
-        blas, buf = sla.blas.get_blas_funcs(("gemv", "ger"), (a,)), np.empty_like(a[0])
         with _one_lapack_thread():
-            for k in range(len(refl), min(a.shape)):
-                refl.append(_householder(a, k, self.pivot_order[k], *blas, buf)[0])
-        q = np.eye(a.shape[0], dtype=a.dtype)
-        for k in reversed(range(len(refl))):
-            if refl[k] is not None:
-                w, tau = refl[k]
-                q[k:] -= np.multiply.outer(tau * w, w.conj() @ q[k:])
+            q, r = sla.qr(self.v[:, self.pivot_order])
         # unit phases moved from R's rows into Q's columns: real R_kk >= 0
-        r, s = np.triu(a[:, self.pivot_order]), min(a.shape)
+        s = min(r.shape)
         d = r[range(s), range(s)]
         u = np.divide(d, abs(d), out=np.ones_like(d), where=d != 0)
         r[:s] *= u.conj()[:, None]
@@ -119,37 +113,12 @@ def _colnorms2(a):
     return n2[0::2] + n2[1::2] if np.iscomplexobj(a) else n2
 
 
-def _abs2(x, buf):
-    """Elementwise |x|^2 into the leading floats of `buf` (x's dtype)."""
-    f, n = buf.view(np.float64), x.size
-    if not np.iscomplexobj(x):
-        return np.square(x, out=f)
-    return np.add(np.square(x.real, out=f[:n]), np.square(x.imag, out=f[n:]), out=f[:n])
-
-
-def _householder(a, k, j, gemv, ger, buf):
-    """Reflect rows k.. of `a` so that column j is zero below row k.
-
-    H = I - tau w w* goes to every column in place by one BLAS `gemv` into
-    `buf` and one `ger` (`gerc` over C) on the F-order view `a.T`; reduced
-    columns are zero in rows k.. and stay so.  Returns ((w, tau), |R_kk|),
-    or (None, 0.0) for a column that is already zero there.
-    """
-    x = a[k:, j]
-    nx = np.sqrt(np.vdot(x, x).real)
-    if nx == 0.0:
-        return None, nx
-    x0 = x[0].item()
-    beta = -(x0 / abs(x0) if x0 else 1.0) * nx
-    w = x.copy()
-    w[0] -= beta
-    tau = 1.0 / (nx * (nx + abs(x0)))  # 2 / ||w||^2
-    wc = w.conj()
-    rows = a.T[:, k:]
-    ger(-tau, gemv(1.0, rows, wc, y=buf, overwrite_y=True), wc, a=rows, overwrite_a=True)
-    x[:] = 0.0
-    x[0] = beta
-    return (w, tau), nx
+def _residual(basis, x):
+    """`x` less its projection on the orthonormal columns of `basis`, by
+    classical Gram-Schmidt applied twice."""
+    for _ in range(2):
+        x = x - basis @ (basis.conj().T @ x)
+    return x
 
 
 def pivoted_qr(v, forbidden=(), max_pivots=None):
@@ -159,14 +128,16 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     2-norm.  Ties go to the lowest original index (BLAS rounds equal columns
     differently by position, hence `_TIE_TOL`), and once the rows are
     exhausted that index rule alone decides.  Columns in `forbidden`
-    (original indices) are never chosen but are still orthogonalized, so
+    (original indices) are never chosen but are still factored, so
     V P = Q R stays exact.
 
-    The loop is swap-free: columns keep their positions, a negative key
-    marks chosen and forbidden ones, and each step stores its reflector and
-    applies it to every column on scipy's BLAS at one thread.  Squared norms
-    are downdated from row k and recomputed once they fall to
-    `_DOWNDATE_TOL` of their last fresh value.
+    The loop tracks squared residual norms only and never writes V: a
+    negative key marks chosen and forbidden columns, and each step
+    orthogonalizes the pivot column against the basis of the earlier ones
+    (`_residual`), takes |R_kk| from its norm, and downdates every key by
+    |q_k* v_j|^2 from one scipy BLAS `gemv` at one thread.  A key that
+    falls to `_DOWNDATE_TOL` of its last fresh value is recomputed as the
+    column's explicit residual against the basis.
 
     Parameters
     ----------
@@ -175,9 +146,9 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
         Original column indices in [0, n) excluded from pivoting.
     max_pivots : int, optional
         Choose at most this many pivots (default: as many as possible).
-        Reading the factors completes them with unpivoted reflections of
-        the remaining columns, so V P = Q R always holds with triangular R;
-        only the first `n_steps` columns carry pivot semantics.
+        The factors, when read, are those of V P for the whole permutation,
+        so V P = Q R always holds with triangular R; only the first
+        `n_steps` columns carry pivot semantics.
 
     Returns
     -------
@@ -203,31 +174,38 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     key[cols], floor[cols] = -1.0, -np.inf
     steps = min(np.count_nonzero(live), n if max_pivots is None else max_pivots)
     rdiag = np.zeros(steps)
-    piv, refl = [], []
-    blas, buf = sla.blas.get_blas_funcs(("gemv", "ger"), (a,)), np.empty_like(a[0])
+    piv = []
+    last = min(steps, m)
+    basis = np.zeros((m, last), dtype=a.dtype, order="F")  # q_0, q_1, ...
+    gemv, prod = sla.blas.get_blas_funcs("gemv", (a,)), np.empty(n, dtype=a.dtype)
     with _one_lapack_thread():
-        for k in range(min(steps, m)):
+        for k in range(last):
             j = int(np.argmax(key))  # the first maximum; ties sit left of it
             j = int(np.argmax(key[: j + 1] >= key[j] * (1.0 - _TIE_TOL)))
             piv.append(j)
-            h, rdiag[k] = _householder(a, k, j, *blas, buf)
-            refl.append(h)
             live[j] = False
-            if k + 1 == min(steps, m):
+            x = _residual(basis[:, :k], a[:, j])
+            rdiag[k] = np.linalg.norm(x)
+            if k + 1 == last:
                 break  # the keys are not read again
             key[j], floor[j] = -1.0, -np.inf
-            key -= _abs2(a[k], buf)
+            if rdiag[k]:  # a zero residual leaves q_k = 0, a no-op
+                basis[:, k] = x / rdiag[k]
+            qv = gemv(1.0, a.T, basis[:, k].conj(), y=prod, overwrite_y=True)  # q_k* V
+            f = qv.view(np.float64)
+            f *= f
+            key -= f[0::2] + f[1::2] if np.iscomplexobj(a) else f
             stale = np.flatnonzero(key <= floor)
             if stale.size:
-                key[stale] = _colnorms2(a[k + 1 :, stale])
+                key[stale] = _colnorms2(_residual(basis[:, : k + 1], a[:, stale]))
                 floor[stale] = _DOWNDATE_TOL * key[stale]
 
-    del buf, key, floor  # freed before the index arrays below: a lower peak
+    del prod, key, floor  # freed before the index arrays below: a lower peak
     # past row m every residual is zero: the lowest allowed indices follow
     piv = np.concatenate([np.array(piv, dtype=np.intp), np.flatnonzero(live)[: steps - len(piv)]])
     rest = np.ones(n, dtype=bool)
     rest[piv] = False
-    return PivotedQR(np.concatenate([piv, np.flatnonzero(rest)]), rdiag, steps, a, refl)
+    return PivotedQR(np.concatenate([piv, np.flatnonzero(rest)]), rdiag, steps, a)
 
 
 def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):

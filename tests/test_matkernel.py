@@ -118,6 +118,19 @@ class TestPivotedQR:
         assert not np.any(fac.q_factor.imag)
         assert not np.any(fac.r_factor.imag)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_input_is_not_aliased(self, layout):
+        # the factors are formed on first read, from the result's own copy
+        v = np.array(np.random.default_rng(19).standard_normal((5, 8)), order=layout)
+        original = v.copy()
+        fac = matkernel.pivoted_qr(v, max_pivots=3)
+        np.testing.assert_array_equal(v, original)
+        v[:] = 0.0
+        q, r = fac.q_factor, fac.r_factor
+        assert q.dtype == r.dtype == np.float64
+        err = np.linalg.norm(original[:, fac.pivot_order] - q @ r)
+        assert err <= 1e-12 * np.linalg.norm(original)
+
     def test_mostly_forbidden_still_factors_exactly(self):
         rng = np.random.default_rng(17)
         v = random_complex(rng, 5, 6)

@@ -128,6 +128,22 @@ class TestLQG:
         )
         np.testing.assert_allclose(ctl.f_gain, 0.0, atol=1e-12)
 
+    def test_default_plant_riccati_solves_need_no_newton_step(self, monkeypatch):
+        # the scaled Hamiltonian alone meets the residual bound, for the
+        # regulator and for the filter, whose ||G|| is ~4e7 times ||Q||
+        monkeypatch.setattr(gramian, "_REFINE_TOL", np.inf)
+        residuals = []
+
+        def checked(a, b, q, r, _inner=gramian.solve_care):
+            x = _inner(a, b, q, r)
+            residuals.append(gramian.care_residual(a, b, q, r, x))
+            return x
+
+        monkeypatch.setattr(gramian, "solve_care", checked)
+        models.lqg_synthesize(*models.ginzburg_landau_plant())
+        assert len(residuals) == 2
+        assert max(residuals) <= 1e-10
+
     def test_separation_at_full_selection(self):
         m = models.random_stable_system(6, 6, 6, seed=90)
         ctl = models.lqg_synthesize(m.a, m.b, m.c)
@@ -263,9 +279,10 @@ class TestGLPipelineSmall:
     def test_riccati_newton_step_keeps_the_answer(
         self, monkeypatch, schur_calls, eigvals_calls, r
     ):
-        # whether solve_care takes its Newton step can hinge on rounding (the
-        # BLAS thread count): at n = 100 the filter residual sits near
-        # _REFINE_TOL.  Forcing the step on and off must not move the answer.
+        # solve_care's Newton step is the fallback for a residual that the
+        # scaled Hamiltonian leaves above _REFINE_TOL; the GL solves stay
+        # near 1e-12 without it.  Forcing the step on and off must not move
+        # the answer.
         outs = []
         for tol in (0.0, np.inf):
             monkeypatch.setattr(gramian, "_REFINE_TOL", tol)
