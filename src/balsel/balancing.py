@@ -57,7 +57,7 @@ def balance(w, r):
     """
     n = w.w_c.shape[0]
     if not 1 <= r <= n:
-        raise RankError(f"rank must be between 1 and {n}")
+        raise RankError(f"rank must be between 1 and {n}, got {r}")
     l_c = matkernel._psd_factor(w.w_c)
     l_o = matkernel._psd_factor(w.w_o)
     u, hankel, v = matkernel.svd(l_o.conj().T @ l_c)

@@ -14,7 +14,8 @@ followed by whitespace-separated row-major entries, complex entries as
 ``re,im``; ``#`` starts a comment.  A model file is a line
 ``model <continuous|discrete>`` followed by the A, B, C matrix blocks.
 Indices printed by commands are 1-based; exit codes are 0 (ok),
-2 (domain error), 3 (parse error), 4 (resource cap).
+2 (domain error), 3 (parse error: a malformed command line, option value,
+input file or unwritable output), 4 (resource cap).
 """
 
 import argparse
@@ -73,10 +74,12 @@ class _Tokens:
 
     Iterating yields one token at a time; `take` hands out the rest of the
     current line at once, so a matrix row is converted in one numpy call.
+    `capacity` bounds the number of tokens the text can hold.
     """
 
     def __init__(self, text):
         self._lines = iter(text.splitlines())
+        self.capacity = (len(text) + 1) // 2
         self._line = []
         self._pos = 0
 
@@ -154,6 +157,8 @@ def _read_matrix_tokens(tokens):
     if field not in ("real", "complex"):
         raise FormatError(f"unknown field tag {field!r}")
     total = rows * cols
+    if total > tokens.capacity:  # allocate only what the text can fill
+        raise FormatError("matrix block ended early")
     data = np.zeros(total, dtype=np.complex128 if field == "complex" else np.float64)
     filled = 0
     while filled < total:
@@ -261,54 +266,24 @@ def gl_params_from_config(cfg):
 
 
 def _load_model(args):
-    if bool(args.model) == bool(args.generate):
-        raise FormatError("provide exactly one model source (--model or --generate)")
-    if args.model:
-        try:
-            with open(args.model) as fh:
-                return read_model(fh.read())
-        except OSError as exc:
-            raise FormatError(f"cannot read {args.model}: {exc}") from exc
-    parts = args.generate.split(",")
-    if len(parts) not in (4, 5):
-        raise FormatError("--generate expects n,p,q,seed[,discrete]")
+    if args.generate:
+        n, p, q, seed, domain = args.generate
+        return models.random_stable_system(n, p, q, seed, time_domain=domain)
     try:
-        n, p, q, seed = (int(v) for v in parts[:4])
-    except ValueError as exc:
-        raise FormatError("--generate expects integer n,p,q,seed") from exc
-    domain = parts[4] if len(parts) == 5 else statespace.CONTINUOUS
-    if domain not in (statespace.CONTINUOUS, statespace.DISCRETE):
-        raise FormatError(f"unknown time domain {domain!r}")
-    return models.random_stable_system(n, p, q, seed, time_domain=domain)
+        with open(args.model) as fh:
+            return read_model(fh.read())
+    except OSError as exc:
+        raise FormatError(f"cannot read {args.model}: {exc}") from exc
 
 
-def _freq_grid(args):
-    if args.freq_grid:
-        parts = args.freq_grid.split(",")
-        if len(parts) != 3:
-            raise FormatError("--freq-grid expects lo,hi,count")
-        try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if not (0.0 < lo <= hi < np.inf and count >= 1):
-                raise ValueError("out of range")
-            return statespace.log_grid(lo, hi, count)
-        except (ValueError, BalselError) as exc:
-            raise FormatError(
-                f"bad --freq-grid {args.freq_grid!r}: need 0 < lo < hi and count >= 1"
-            ) from exc
-    return statespace.default_grid()
-
-
-def _cap(args):
-    if args.cap is not None:
-        return _at_least_one(args.cap, "--cap")
-    try:
-        cap = int(os.environ.get("BALSEL_CAP", evaluation.DEFAULT_CAP))
-    except ValueError as exc:
-        raise FormatError(
-            f"BALSEL_CAP must be an integer, got {os.environ['BALSEL_CAP']!r}"
-        ) from exc
-    return _at_least_one(cap, "BALSEL_CAP")
+def _rank(args):
+    """`--rank` or its alias `--budget`, which must be equal if both are given."""
+    given = {args.rank, args.budget} - {None}
+    if len(given) > 1:
+        raise FormatError(f"--rank and --budget differ: {sorted(given)}")
+    if not given:
+        raise FormatError("--rank (or --budget) is required")
+    return given.pop()
 
 
 def _ones_based(indices):
@@ -341,15 +316,15 @@ def cmd_gramians(args):
 
 def cmd_select(args):
     m = _load_model(args)
-    r = _positive_rank(args)
-    grid = _freq_grid(args) if args.metric == "h2" else None
+    r = _rank(args)
     grams, bal, sel = _select_on_model(m, r, args.no_collocate)
     # score the r x r sampled blocks, never the p x p and q x q products
     c_hat, b_hat, own = m.c[sel.gamma], m.b[:, sel.beta], np.arange(r)
     block_s = c_hat @ grams.w_c @ c_hat.conj().T
     block_a = b_hat.conj().T @ grams.w_o @ b_hat
     if args.metric == "h2":  # before any output; compute_gramians proved stability
-        h2 = (statespace._h2_from_gramians(m, grams, 1e-8), statespace._h2_from_frequency(m, grid))
+        h2 = (statespace._h2_from_gramians(m, grams, 1e-8),
+              statespace._h2_from_frequency(m, args.freq_grid))
 
     print(f"gamma {_ones_based(sel.gamma)}")
     print(f"beta {_ones_based(sel.beta)}")
@@ -383,11 +358,10 @@ def cmd_select(args):
 
 def cmd_bruteforce(args):
     m = _load_model(args)
-    budget = _positive_rank(args)
-    cap = _cap(args)
+    budget = _rank(args)
     grams, bal, sel = _select_on_model(m, budget, args.no_collocate)
     gram_sensor = m.c @ grams.w_c @ m.c.conj().T
-    best, values = evaluation.brute_force(gram_sensor, budget, cap=cap, metric=args.metric)
+    best, values = evaluation.brute_force(gram_sensor, budget, cap=args.cap, metric=args.metric)
     # scored like the enumeration (sorted indices, same kernel), so the QR
     # subset's own entry is never counted strictly below its score
     qr_value = evaluation._subset_values(gram_sensor, np.sort(sel.gamma)[None], args.metric)[0]
@@ -410,19 +384,13 @@ def cmd_bruteforce(args):
 
 def cmd_bench_random(args):
     m = _load_model(args)
-    ranks = _parse_rank_list(args)
-    try:
-        seeds = [int(s) for s in (args.seeds or "0").split(",")]
-    except ValueError as exc:
-        raise FormatError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
-    if args.ensemble_count < 1:
-        raise FormatError(f"--ensemble-count must be >= 1, got {args.ensemble_count}")
+    ranks = args.ranks if args.rank is None else [args.rank]
     # sweep before opening the file, so a failure leaves no partial CSV
-    sweeps = zip(seeds, evaluation.rank_sweeps(m, ranks, seeds, count=args.ensemble_count))
+    sweeps = evaluation.rank_sweeps(m, ranks, args.seeds, count=args.ensemble_count)
     out = args.out or "bench_random.csv"
     with open(out, "w") as fh:
         fh.write("seed,r,qr_value,sample_id,sample_value\n")
-        for seed, rows in sweeps:
+        for seed, rows in zip(args.seeds, sweeps):
             for row in rows:
                 for sid, sval in enumerate(row["samples"]):
                     fh.write(
@@ -432,46 +400,7 @@ def cmd_bench_random(args):
     return EXIT_OK
 
 
-def _parse_rank_list(args):
-    if args.rank is not None:
-        if args.ranks is not None:
-            raise FormatError("give --rank or --ranks, not both")
-        return [_positive_rank(args)]
-    spec = args.ranks or "1-10"
-    try:
-        if "-" in spec:
-            lo, hi = spec.split("-", 1)
-            ranks = list(range(int(lo), int(hi) + 1))
-        else:
-            ranks = [int(v) for v in spec.split(",")]
-    except ValueError as exc:
-        raise FormatError(f"--ranks expects lo-hi or a comma list, got {spec!r}") from exc
-    if not ranks:
-        raise FormatError(f"--ranks range {spec!r} is empty")
-    return [_at_least_one(r, "--ranks") for r in ranks]
-
-
-def _at_least_one(value, option):
-    """`value`; FormatError unless it is >= 1."""
-    if value < 1:
-        raise FormatError(f"{option} must be >= 1, got {value}")
-    return value
-
-
-def _positive_rank(args, default=None):
-    """`--rank` or its alias `--budget` (equal if both are given), else
-    `default`; FormatError if that is missing or below 1."""
-    given = {args.rank, getattr(args, "budget", None)} - {None}
-    if len(given) > 1:
-        raise FormatError(f"--rank and --budget differ: {sorted(given)}")
-    r = given.pop() if given else default
-    if r is None:
-        raise FormatError("--rank (or --budget) is required")
-    return _at_least_one(r, "rank")
-
-
 def cmd_gl_demo(args):
-    max_r = _positive_rank(args, 5)
     if args.gl_params:
         try:
             with open(args.gl_params) as fh:
@@ -480,8 +409,6 @@ def cmd_gl_demo(args):
             raise FormatError(f"cannot read {args.gl_params}: {exc}") from exc
     else:
         params = models.GinzburgLandauParams()
-    grid = (_freq_grid(args) if args.freq_grid
-            else statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0])))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     xi = params.grid
@@ -495,7 +422,7 @@ def cmd_gl_demo(args):
             stage, failure = models._gl_plant_stage(params), None
         except BalselError as exc:
             stage, failure = None, exc
-        for r in range(1, max_r + 1):
+        for r in range(1, args.rank + 1):
             try:
                 if failure is not None:
                     raise failure
@@ -520,12 +447,12 @@ def cmd_gl_demo(args):
 
     if pipe is not None:
         gains, gs, bs = models.lqg_gain_grid(
-            pipe["controller"], pipe["selection"].gamma, pipe["selection"].beta, grid, xi
+            pipe["controller"], pipe["selection"].gamma, pipe["selection"].beta, args.freq_grid, xi
         )
         gain_path = os.path.join(outdir, "lqg_gain.csv")
         with open(gain_path, "w") as fh:
             fh.write("omega,actuator_row,sensor_col,gain_db\n")
-            for i, omega in enumerate(grid.points):
+            for i, omega in enumerate(args.freq_grid.points):
                 for j in range(gains.shape[1]):
                     for k in range(gains.shape[2]):
                         fh.write(f"{_fmt(omega)},{j + 1},{k + 1},{_fmt(gains[i, j, k])}\n")
@@ -534,14 +461,13 @@ def cmd_gl_demo(args):
 
 
 def cmd_scaling(args):
-    r_fixed = _positive_rank(args, 10)
     out = args.out or "scaling.csv"
     ns = (1000, 2000, 4000, 8000)
     rs = (5, 10, 20, 40)
     n_fixed = 4000
-    t_n = matkernel._pivoting_times([(n, r_fixed) for n in ns], seed=args.seed_value)
+    t_n = matkernel._pivoting_times([(n, args.rank) for n in ns], seed=args.seed_value)
     t_r = matkernel._pivoting_times([(n_fixed, r) for r in rs], seed=args.seed_value)
-    rows = [("n", n, r_fixed, t) for n, t in zip(ns, t_n)]
+    rows = [("n", n, args.rank, t) for n, t in zip(ns, t_n)]
     rows += [("r", n_fixed, r, t) for r, t in zip(rs, t_r)]
     with open(out, "w") as fh:
         fh.write("sweep,n,r,seconds\n")
@@ -557,16 +483,80 @@ def cmd_scaling(args):
 # ---------------------------------------------------------------- driver
 
 
+def _integer(text, low=1):
+    """`text` as an integer >= `low`."""
+    try:
+        if int(text) >= low:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+
+def _seed(text):
+    return _integer(text, low=0)
+
+
+def _seed_list(text):
+    return [_seed(v) for v in text.split(",")]
+
+
+def _rank_list(text):
+    """`lo-hi` or a comma list of ranks."""
+    if "-" not in text:
+        return [_integer(v) for v in text.split(",")]
+    lo, hi = (_integer(v) for v in text.split("-", 1))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"rank range {text!r} is empty")
+    return list(range(lo, hi + 1))
+
+
+def _generate_spec(text):
+    """`n,p,q,seed[,discrete]` as (n, p, q, seed, time domain); n, p and q
+    are checked by `random_stable_system`."""
+    parts = text.split(",")
+    try:
+        n, p, q, seed, domain = parts if len(parts) == 5 else parts + [statespace.CONTINUOUS]
+        n, p, q, seed = (int(v) for v in (n, p, q, seed))
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers n,p,q,seed[,discrete] with seed >= 0, got {text!r}") from None
+    if domain not in (statespace.CONTINUOUS, statespace.DISCRETE):
+        raise argparse.ArgumentTypeError(f"unknown time domain {domain!r}")
+    return n, p, q, seed, domain
+
+
+def _freq_grid(text):
+    """`lo,hi,count` as `count` log-spaced frequencies from lo to hi."""
+    try:
+        lo, hi, count = text.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
+        if 0.0 < lo <= hi < np.inf and count >= 1:
+            return statespace.log_grid(lo, hi, count)
+    except (ValueError, BalselError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected lo,hi,count, 0 < lo < hi, count >= 1: {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose every rejection is a FormatError (exit 3),
+    the ArgumentTypeError of an option's type included."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def _add_model_args(p):
-    p.add_argument("--model", help="model file (matrix text format)")
-    p.add_argument(
-        "--generate",
-        help="random stable model spec n,p,q,seed[,discrete]",
-    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model file (matrix text format)")
+    source.add_argument("--generate", type=_generate_spec,
+                        help="random stable model spec n,p,q,seed[,discrete]")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balsel",
         description="Balanced-truncation sensor/actuator selection toolkit",
     )
@@ -578,40 +568,47 @@ def build_parser():
 
     p = sub.add_parser("select", help="QR sensor/actuator selection")
     _add_model_args(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--rank", type=_integer)
+    p.add_argument("--budget", type=_integer)
     p.add_argument("--no-collocate", action="store_true")
     p.add_argument("--metric", choices=("logdet", "trace", "h2"), default="logdet")
-    p.add_argument("--freq-grid", help="frequency grid lo,hi,count")
+    p.add_argument("--freq-grid", type=_freq_grid, default=statespace.default_grid(),
+                   help="frequency grid lo,hi,count")
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("bruteforce", help="exhaustive subset enumeration")
     _add_model_args(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--rank", type=_integer)
+    p.add_argument("--budget", type=_integer)
     p.add_argument("--no-collocate", action="store_true")
     p.add_argument("--metric", choices=("logdet", "trace"), default="logdet")
-    p.add_argument("--cap", type=int)
+    # a string default goes through the type, so a bad BALSEL_CAP exits 3
+    p.add_argument("--cap", type=_integer,
+                   default=os.environ.get("BALSEL_CAP", str(evaluation.DEFAULT_CAP)))
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("bench-random", help="QR vs random ensembles across ranks")
     _add_model_args(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--ranks", help="rank range lo-hi or comma list")
-    p.add_argument("--seeds", help="comma-separated ensemble seeds")
-    p.add_argument("--ensemble-count", type=int, default=200)
+    ranks = p.add_mutually_exclusive_group()
+    ranks.add_argument("--rank", type=_integer)
+    ranks.add_argument("--ranks", type=_rank_list, default="1-10",
+                       help="rank range lo-hi or comma list")
+    p.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated ensemble seeds")
+    p.add_argument("--ensemble-count", type=_integer, default=200)
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("gl-demo", help="Ginzburg-Landau placement demo")
     p.add_argument("--gl-params", help="key=value parameter file")
-    p.add_argument("--rank", type=int, help="largest budget (default 5)")
+    p.add_argument("--rank", type=_integer, default=5, help="largest budget (default 5)")
     p.add_argument("--no-collocate", action="store_true")
-    p.add_argument("--freq-grid", help="gain-map frequency grid lo,hi,count")
+    p.add_argument("--freq-grid", type=_freq_grid,
+                   default=statespace.FrequencyGrid(np.array([0.1, 10.0, 1000.0])),
+                   help="gain-map frequency grid lo,hi,count")
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("scaling", help="pivoting runtime scaling sweeps")
-    p.add_argument("--rank", type=int, help="fixed rank for the n sweep")
-    p.add_argument("--seed-value", type=int, default=0)
+    p.add_argument("--rank", type=_integer, default=10, help="fixed rank for the n sweep")
+    p.add_argument("--seed-value", type=_seed, default=0)
     p.add_argument("--out", help="CSV output path")
 
     return parser
@@ -628,12 +625,14 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # inputs are read under FormatError: an output failed
+        print(f"parse error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

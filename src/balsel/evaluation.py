@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import balancing, gramian, matkernel, selection
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, RankError
 
 __all__ = [
     "EnsembleStats",
@@ -139,15 +139,18 @@ def rank_sweeps(model, ranks, seeds, count=200):
     """`rank_sweep` for each ensemble seed in `seeds`, as a list of row lists.
 
     The gramians and the per-rank QR selections do not depend on the seed,
-    so they are computed once for all seeds.
+    so they are computed once for all seeds.  One balancing at the largest
+    rank serves every rank: the rank-r modes are its first r columns.
     """
+    if min(ranks, default=0) < 1:  # a column slice would not catch it
+        raise RankError(f"ranks must be at least 1, got {list(ranks)}")
     grams = gramian.compute_gramians(model)
     gram_sensor = model.c @ grams.w_c @ model.c.conj().T
     gram_actuator = model.b.conj().T @ grams.w_o @ model.b
+    bal = balancing.balance(grams, max(ranks))
     qr_values = []
     for r in ranks:
-        bal = balancing.balance(grams, r)
-        sel = selection.select_subsets(model.c, model.b, bal.psi_r, bal.phi_r)
+        sel = selection.select_subsets(model.c, model.b, bal.psi_r[:, :r], bal.phi_r[:, :r])
         qr_values.append(
             logdet_objective(sel.gamma, gram_sensor)
             + logdet_objective(sel.beta, gram_actuator)

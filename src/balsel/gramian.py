@@ -67,13 +67,6 @@ class GramianPair:
     source_tag: str = "exact"
 
 
-def _real_if_real_inputs(w, *inputs):
-    """Drop the pure-roundoff imaginary part of `w` when every input was real."""
-    if any(np.any(x.imag) for x in inputs):
-        return w
-    return w.real
-
-
 def _leaf(a, b, c, discrete):
     """A X + X B* = C, or A X B* - X = C if `discrete`, for small
     upper-triangular A, B, swept by columns from the last.
@@ -297,9 +290,11 @@ _REFINE_TOL = 1e-8
 def solve_care(a, b, q_weight, r_weight):
     """Stabilizing solution of A* X + X A - X B R^{-1} B* X + Q = 0.
 
-    Uses the ordered complex Schur form of the Hamiltonian matrix (stable
-    eigenvalues first), computed on one scipy BLAS thread like every Schur
-    form (see `matkernel`).  The Hamiltonian is that of X~ = X / rho with
+    Uses the ordered Schur form of the Hamiltonian matrix (stable
+    eigenvalues first), real for real inputs and complex otherwise, so X
+    keeps the field of its inputs.  It is computed on one scipy BLAS thread
+    like every Schur form (see `matkernel`).  A singular R raises
+    SynthesisError.  The Hamiltonian is that of X~ = X / rho with
     rho = sqrt(||Q||_1 / ||G||_1), G = B R^{-1} B*, which gives its two
     off-diagonal blocks equal 1-norms (Laub, IEEE TAC 24 (1979)).  The
     Ginzburg-Landau filter's ||G|| is some 4e7 times ||Q||; at n = 100 its
@@ -315,12 +310,15 @@ def solve_care(a, b, q_weight, r_weight):
     if b.shape[0] != n or q_weight.shape != (n, n):
         raise DimensionError("incompatible Riccati dimensions")
 
-    g = b @ np.linalg.solve(r_weight, b.conj().T)
+    try:
+        g = b @ np.linalg.solve(r_weight, b.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError("input weight R is singular") from exc
     norms = np.linalg.norm(q_weight, 1), np.linalg.norm(g, 1)
     rho = np.sqrt(norms[0] / norms[1]) if all(norms) else 1.0
     ham = np.block([[a, -rho * g], [-q_weight / rho, -a.conj().T]])
     with matkernel._one_lapack_thread():
-        t, u, sdim = sla.schur(ham, output="complex", sort=lambda z: z.real < 0.0)
+        t, u, sdim = sla.schur(ham, sort="lhp")
     if sdim != n:
         raise SynthesisError(
             f"Hamiltonian has {sdim} stable eigenvalues, expected {n}: "
@@ -347,4 +345,4 @@ def solve_care(a, b, q_weight, r_weight):
     a_cl = a - b @ np.linalg.solve(r_weight, b.conj().T @ x)
     if statespace._instability(matkernel.eigvals(a_cl), discrete=False):
         raise SynthesisError("Riccati closed loop is not stable")
-    return _real_if_real_inputs(x, a, b, q_weight, r_weight)
+    return x

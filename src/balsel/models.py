@@ -201,12 +201,11 @@ def lqg_synthesize(a, b2, c2, q_hat=None, r_hat=None, w_cov=None, v_cov=None):
     n = a.shape[0]
     q = b2.shape[1]
     p = c2.shape[0]
-    q_hat = np.eye(n, dtype=np.complex128) if q_hat is None else matkernel.as_matrix(q_hat)
-    r_hat = np.eye(q, dtype=np.complex128) if r_hat is None else matkernel.as_matrix(r_hat)
-    w_cov = np.eye(n, dtype=np.complex128) if w_cov is None else matkernel.as_matrix(w_cov)
-    v_cov = (
-        4e-8 * np.eye(p, dtype=np.complex128) if v_cov is None else matkernel.as_matrix(v_cov)
-    )
+    field = np.result_type(a, b2, c2)  # a real plant gets real weights
+    q_hat = np.eye(n, dtype=field) if q_hat is None else matkernel.as_matrix(q_hat)
+    r_hat = np.eye(q, dtype=field) if r_hat is None else matkernel.as_matrix(r_hat)
+    w_cov = np.eye(n, dtype=field) if w_cov is None else matkernel.as_matrix(w_cov)
+    v_cov = 4e-8 * np.eye(p, dtype=field) if v_cov is None else matkernel.as_matrix(v_cov)
 
     x = gramian.solve_care(a, b2, q_hat, r_hat)
     f = np.linalg.solve(r_hat, b2.conj().T @ x)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from balsel import cli, evaluation, gramian, models, selection, statespace
+from balsel import cli, evaluation, gramian, matkernel, models, selection, statespace
 from balsel.errors import FormatError, SynthesisError
 
 
@@ -280,6 +280,79 @@ class TestBadOptionValues:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    # every command line argparse rejects exits 3 as well, with no usage text
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["select", "--generate", "8,8,8,1", "--rank", "x"],
+            ["select", "--generate", "8,8,8,1", "--rank"],
+            ["select", "--generate", "8,8,8,1", "--rnak", "3"],
+            ["select", "--generate", "8,8,8,1", "--rank", "2", "--metric", "foo"],
+            ["select", "--generate", "8,8,8,1", "--rank", "2", "--freq-grid", "garbage"],
+            ["select", "--rank", "2"],
+            ["select", "--model", "m.txt", "--generate", "8,8,8,1", "--rank", "2"],
+            ["select", "--generate", "8,8,8", "--rank", "2"],
+            ["select", "--generate", "8,8,8,1,weird", "--rank", "2"],
+            ["select", "--generate", "8,8,8,-1", "--rank", "2"],
+            ["bruteforce", "--generate", "8,8,8,1", "--budget", "x"],
+            ["bruteforce", "--generate", "8,8,8,1", "--budget", "2", "--cap", "1.5"],
+            ["bruteforce", "--generate", "8,8,8,1", "--budget", "2", "--metric", "h2"],
+            ["bench-random", "--generate", "8,8,8,1", "--ensemble-count", "many"],
+            ["bench-random", "--generate", "8,8,8,1", "--seeds", "-1"],
+            ["bench-random", "--generate", "8,8,8,1", "--ranks", "1-2-3"],
+            ["gl-demo", "--rank", "1", "--freq-grid", "1,2"],
+            ["scaling", "--seed-value", "x"],
+        ],
+        ids=["empty", "unknown-command", "rank-x", "rank-missing-value", "unknown-option",
+             "metric-foo", "freq-grid-without-h2", "no-source", "both-sources",
+             "generate-short", "generate-domain", "generate-seed-neg", "budget-x",
+             "cap-fraction", "bruteforce-metric-h2", "ensemble-count-many", "seeds-neg",
+             "ranks-three-parts", "gl-freq-grid-short", "seed-value-x"],
+    )
+    def test_argparse_rejection_exit_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert "usage:" not in err
+        assert not out.exists()
+
+    def test_generate_sizes_stay_a_domain_error(self, capsys):
+        assert run(["select", "--generate", "0,2,2,1", "--rank", "1"]) == 2
+        assert capsys.readouterr().err == "error: n, p, q must all be at least 1\n"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--generate", "6,4,4,0", "--rank", "2"],
+            ["bruteforce", "--generate", "6,4,4,0", "--budget", "2"],
+            ["bench-random", "--generate", "6,4,4,0", "--rank", "2", "--ensemble-count", "3"],
+            ["gramians", "--generate", "6,4,4,0"],
+            ["gl-demo", "--rank", "1"],
+            ["scaling", "--rank", "2"],
+        ],
+        ids=["select", "bruteforce", "bench-random", "gramians", "gl-demo", "scaling"],
+    )
+    def test_exit_3_naming_the_path(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            matkernel, "_pivoting_times", lambda cases, seed: [1e-6 * n * r for n, r in cases]
+        )
+        if argv[0] == "gl-demo":
+            cfgfile = tmp_path / "gl.cfg"
+            cfgfile.write_text("n=28\n")
+            argv = argv + ["--gl-params", str(cfgfile)]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"  # under a regular file: neither a file nor a directory fits
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot write output:") and str(out) in err
+        assert err.count("\n") == 1
+
 
 class TestGramiansCommand:
     def test_scalar_file(self, tmp_path, capsys):
@@ -293,6 +366,15 @@ class TestGramiansCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("model continuous\nmatrix 1 1 real\n")
         assert run(["gramians", "--model", str(bad)]) == 3
+
+    def test_header_sizes_no_allocation(self, tmp_path, capsys):
+        # 10^10 entries announced and one given: the block ends early
+        # instead of allocating 75 GiB from the header
+        big = tmp_path / "big.txt"
+        big.write_text("model continuous\nmatrix 100000 100000 real\n1\n")
+        assert run(["gramians", "--model", str(big), "--out", str(tmp_path / "g")]) == 3
+        assert capsys.readouterr().err == "parse error: matrix block ended early\n"
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize(
         "tail, extra",

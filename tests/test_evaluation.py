@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from balsel import balancing, evaluation, gramian, selection
-from balsel.errors import EnumerationCapError
+from balsel import balancing, evaluation, gramian, matkernel, selection
+from balsel.errors import EnumerationCapError, RankError
 from balsel.models import random_stable_system
 
 
@@ -161,6 +161,41 @@ class TestRankSweep:
         for row in rows:
             assert row["samples"].size == 50
             assert row["qr_value"] >= row["median"]
+
+    def test_one_balancing_for_all_ranks(self, monkeypatch):
+        calls = []
+
+        def counting(a, _inner=matkernel.svd):
+            calls.append(np.shape(a))
+            return _inner(a)
+
+        monkeypatch.setattr(matkernel, "svd", counting)
+        m = random_stable_system(40, 10, 10, seed=3, time_domain="discrete")
+        rows = evaluation.rank_sweep(m, ranks=range(1, 11), count=10, seed=0)
+        assert len(rows) == 10
+        assert calls == [(40, 40)]
+
+    def test_rank_slices_pick_the_per_rank_pivots(self):
+        m = random_stable_system(30, 12, 12, seed=8)
+        grams = gramian.compute_gramians(m)
+        full = balancing.balance(grams, 6)
+        for r in range(1, 7):
+            bal = balancing.balance(grams, r)
+            own = selection.select_subsets(m.c, m.b, bal.psi_r, bal.phi_r)
+            sliced = selection.select_subsets(m.c, m.b, full.psi_r[:, :r], full.phi_r[:, :r])
+            assert np.array_equal(own.gamma, sliced.gamma)
+            assert np.array_equal(own.beta, sliced.beta)
+
+    def test_inadmissible_largest_rank_is_named(self):
+        m = random_stable_system(4, 4, 4, seed=1)
+        with pytest.raises(RankError, match="got 5"):
+            evaluation.rank_sweep(m, ranks=[1, 2, 5], count=5)
+
+    @pytest.mark.parametrize("ranks", [[], [0, 2], [3, -1]])
+    def test_ranks_below_one_raise(self, ranks):
+        m = random_stable_system(4, 4, 4, seed=1)
+        with pytest.raises(RankError, match="at least 1"):
+            evaluation.rank_sweep(m, ranks=ranks, count=5)
 
     def test_median_percentile_trend_across_seeds(self):
         # over several model seeds the median QR percentile does not

@@ -396,6 +396,15 @@ class TestCARE:
         a_cl = m.a - b @ np.linalg.solve(r, b.conj().T @ x)
         assert np.linalg.eigvals(a_cl).real.max() < 0
 
+    def test_real_inputs_give_a_real_solution(self):
+        m = random_stable_system(10, 3, 3, seed=40)
+        x = gramian.solve_care(m.a, m.b, np.eye(10), np.eye(3))
+        assert x.dtype == np.float64
+
+    def test_singular_input_weight_raises_synthesis_error(self):
+        with pytest.raises(SynthesisError, match="singular"):
+            gramian.solve_care([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
     def test_synthesis_error_when_unstabilizable(self):
         with pytest.raises(SynthesisError):
             gramian.solve_care([[1.0]], [[0.0]], [[1.0]], [[1.0]])

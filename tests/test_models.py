@@ -144,6 +144,12 @@ class TestLQG:
         assert len(residuals) == 2
         assert max(residuals) <= 1e-10
 
+    def test_real_plant_gives_a_real_controller(self):
+        m = models.random_stable_system(8, 3, 4, seed=5)
+        ctl = models.lqg_synthesize(m.a, m.b, m.c)
+        dtypes = {ctl.f_gain.dtype, ctl.l_gain.dtype, ctl.controller_model.a.dtype}
+        assert dtypes == {np.dtype(np.float64)}
+
     def test_separation_at_full_selection(self):
         m = models.random_stable_system(6, 6, 6, seed=90)
         ctl = models.lqg_synthesize(m.a, m.b, m.c)
