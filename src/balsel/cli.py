@@ -13,20 +13,26 @@ Matrix text format: a header line ``matrix <rows> <cols> <real|complex>``
 followed by whitespace-separated row-major entries, complex entries as
 ``re,im``; ``#`` starts a comment.  A model file is a line
 ``model <continuous|discrete>`` followed by the A, B, C matrix blocks.
+Files are read as bytes: separators are ASCII whitespace, entries are
+ASCII numbers (see ``_scan.c``), and comments may hold any bytes.
 Indices printed by commands are 1-based; exit codes are 0 (ok),
 2 (domain error), 3 (parse error: a malformed command line, option value,
-input file or unwritable output), 4 (resource cap).
+input file or unwritable output), 4 (resource cap), 5 (the number scanner
+could not be compiled).
 """
 
 import argparse
+import ctypes
 import os
+import re
 import sys
 
 import numpy as np
 
-from . import balancing, evaluation, gramian, matkernel, models, selection, statespace
+from . import _native, balancing, evaluation, gramian, matkernel, models, selection, statespace
 from .errors import (
     BalselError,
+    BuildError,
     EnumerationCapError,
     FormatError,
 )
@@ -44,6 +50,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 EXIT_CAP = 4
+EXIT_BUILD = 5
 
 
 # ---------------------------------------------------------------- formats
@@ -69,121 +76,78 @@ def write_matrix(fh, a, name=None):
         fh.write(" ".join(_fmt_entry(z, field) for z in row) + "\n")
 
 
-class _Tokens:
-    """Whitespace tokens of a text with '#' comments stripped.
+# A token and the separators and '#' comments before it.  Separators are the
+# ASCII bytes str.split() treats as whitespace; a comment runs to the next
+# ASCII line end str.splitlines() honours.  _scan.c reads the same grammar.
+_TOKEN = re.compile(rb"(?:[\t-\r\x1c-\x20]|#[^\n-\r\x1c-\x1e]*)*([^\t-\r\x1c-\x20#]*)")
 
-    Iterating yields one token at a time; `take` hands out the rest of the
-    current line at once, so a matrix row is converted in one numpy call.
-    `capacity` bounds the number of tokens the text can hold.
+
+def _token(buf, pos):
+    """The token of `buf` after offset `pos` (b'' at the end) and the offset after it."""
+    m = _TOKEN.match(buf, pos)
+    return m[1], m.end()
+
+
+def _quote(tok):
+    """Token bytes quoted as repr quotes a str; bytes above 0x7f as \\xNN."""
+    return repr(tok)[1:]
+
+
+def _read_block(buf, pos):
+    """The matrix block of `buf` at offset `pos`, and the offset after it.
+
+    The entries are read by one call of the compiled scanner, which stops at
+    the first token that is not an entry of the block's field.
     """
-
-    def __init__(self, text):
-        self._lines = iter(text.splitlines())
-        self.capacity = (len(text) + 1) // 2
-        self._line = []
-        self._pos = 0
-
-    def _current_line(self):
-        while self._pos >= len(self._line):
-            self._line = next(self._lines).split("#", 1)[0].split()
-            self._pos = 0
-        return self._line
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        line = self._current_line()
-        self._pos += 1
-        return line[self._pos - 1]
-
-    def take(self, limit):
-        """Up to `limit` tokens from the current line ([] at the end of text)."""
-        try:
-            line = self._current_line()
-        except StopIteration:
-            return []
-        start = self._pos
-        self._pos = min(len(line), start + limit)
-        return line[start : self._pos]
-
-
-def _parse_entry(tok, field):
+    head, pos = _token(buf, pos)
+    if not head:
+        raise FormatError("expected a matrix block")
+    if head != b"matrix":
+        raise FormatError(f"expected 'matrix' header, found {_quote(head)}")
+    rows, pos = _token(buf, pos)
+    cols, pos = _token(buf, pos)
+    field, pos = _token(buf, pos)
     try:
-        if field == "complex":
-            re_s, im_s = tok.split(",")
-            return complex(float(re_s), float(im_s))
-        return float(tok)
+        rows, cols = int(rows), int(cols)
     except ValueError as exc:
-        raise FormatError(f"bad matrix entry {tok!r}") from exc
-
-
-def _parse_entries(tokens, field, out):
-    """Parse `tokens` into the float64 or complex128 slice `out`.
-
-    Complex entries' real and imaginary parts are assigned through the
-    `.real`/`.imag` views (never as re + 1j*im, which turns an infinite im
-    into nan).  On a conversion error the tokens are parsed one by one to
-    name the first bad entry.
-    """
-    try:
-        if field == "complex":
-            parts = np.array([tok.split(",") for tok in tokens], dtype=float)
-            if parts.shape[1] != 2:
-                raise ValueError("complex entries need exactly one comma")
-            out.real = parts[:, 0]
-            out.imag = parts[:, 1]
-        else:
-            out[:] = np.array(tokens, dtype=float)
-    except ValueError:
-        out[:] = [_parse_entry(tok, field) for tok in tokens]
-
-
-def _read_matrix_tokens(tokens):
-    try:
-        head = next(tokens)
-    except StopIteration as exc:
-        raise FormatError("expected a matrix block") from exc
-    if head != "matrix":
-        raise FormatError(f"expected 'matrix' header, found {head!r}")
-    try:
-        rows = int(next(tokens))
-        cols = int(next(tokens))
-        field = next(tokens)
-    except (StopIteration, ValueError) as exc:
         raise FormatError("malformed matrix header") from exc
-    if rows < 0 or cols < 0:
+    if rows < 0 or cols < 0 or not field:
         raise FormatError("malformed matrix header")
-    if field not in ("real", "complex"):
-        raise FormatError(f"unknown field tag {field!r}")
+    if field not in (b"real", b"complex"):
+        raise FormatError(f"unknown field tag {_quote(field)}")
     total = rows * cols
-    if total > tokens.capacity:  # allocate only what the text can fill
+    if total > (len(buf) + 1) // 2:  # allocate only what the text can fill
         raise FormatError("matrix block ended early")
-    data = np.zeros(total, dtype=np.complex128 if field == "complex" else np.float64)
-    filled = 0
-    while filled < total:
-        chunk = tokens.take(total - filled)
-        if not chunk:
+    data = np.empty(total, dtype=np.complex128 if field == b"complex" else np.float64)
+    stop = ctypes.c_ssize_t()
+    filled = _native.scanner()(
+        buf, len(buf), pos, field == b"complex", data.ctypes.data, total, ctypes.byref(stop)
+    )
+    if filled < total:
+        if stop.value == len(buf):
             raise FormatError("matrix block ended early")
-        _parse_entries(chunk, field, data[filled : filled + len(chunk)])
-        filled += len(chunk)
+        raise FormatError(f"bad matrix entry {_quote(_token(buf, stop.value)[0])}")
     if not np.isfinite(data).all():
         raise FormatError("matrix has non-finite (nan or inf) entries")
-    return data.reshape(rows, cols)
+    return data.reshape(rows, cols), stop.value
 
 
-def _expect_end(tokens):
+def _expect_end(buf, pos):
     """FormatError naming the first token left after the last block."""
-    extra = next(tokens, None)
-    if extra is not None:
-        raise FormatError(f"unexpected trailing input {extra!r}")
+    extra, _ = _token(buf, pos)
+    if extra:
+        raise FormatError(f"unexpected trailing input {_quote(extra)}")
+
+
+def _as_bytes(text):
+    return text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
 
 
 def read_matrix(text):
-    """Parse one matrix block from text in the matrix text format."""
-    tokens = _Tokens(text)
-    a = _read_matrix_tokens(tokens)
-    _expect_end(tokens)
+    """Parse one matrix block from bytes or str in the matrix text format."""
+    buf = _as_bytes(text)
+    a, pos = _read_block(buf, 0)
+    _expect_end(buf, pos)
     return a
 
 
@@ -195,24 +159,23 @@ def write_model(fh, m):
 
 
 def read_model(text):
-    """Parse a model file: 'model <domain>' plus A, B, C matrix blocks."""
-    tokens = _Tokens(text)
-    try:
-        head = next(tokens)
-    except StopIteration as exc:
-        raise FormatError("empty model file") from exc
-    if head != "model":
-        raise FormatError(f"expected 'model' header, found {head!r}")
-    try:
-        domain = next(tokens)
-    except StopIteration as exc:
-        raise FormatError("missing time-domain tag") from exc
+    """Parse a model file (bytes or str): 'model <domain>' plus A, B, C blocks."""
+    buf = _as_bytes(text)
+    head, pos = _token(buf, 0)
+    if not head:
+        raise FormatError("empty model file")
+    if head != b"model":
+        raise FormatError(f"expected 'model' header, found {_quote(head)}")
+    tag, pos = _token(buf, pos)
+    if not tag:
+        raise FormatError("missing time-domain tag")
+    domain = tag.decode("latin-1")
     if domain not in (statespace.CONTINUOUS, statespace.DISCRETE):
-        raise FormatError(f"unknown time domain {domain!r}")
-    a = _read_matrix_tokens(tokens)
-    b = _read_matrix_tokens(tokens)
-    c = _read_matrix_tokens(tokens)
-    _expect_end(tokens)
+        raise FormatError(f"unknown time domain {_quote(tag)}")
+    a, pos = _read_block(buf, pos)
+    b, pos = _read_block(buf, pos)
+    c, pos = _read_block(buf, pos)
+    _expect_end(buf, pos)
     try:
         return statespace.StateSpaceModel(a, b, c, time_domain=domain)
     except BalselError as exc:
@@ -270,10 +233,11 @@ def _load_model(args):
         n, p, q, seed, domain = args.generate
         return models.random_stable_system(n, p, q, seed, time_domain=domain)
     try:
-        with open(args.model) as fh:
-            return read_model(fh.read())
+        with open(args.model, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {args.model}: {exc}") from exc
+    return read_model(text)
 
 
 def _rank(args):
@@ -403,9 +367,9 @@ def cmd_bench_random(args):
 def cmd_gl_demo(args):
     if args.gl_params:
         try:
-            with open(args.gl_params) as fh:
+            with open(args.gl_params, encoding="utf-8") as fh:
                 params = gl_params_from_config(read_keyvalue_config(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"cannot read {args.gl_params}: {exc}") from exc
     else:
         params = models.GinzburgLandauParams()
@@ -502,13 +466,13 @@ def _seed_list(text):
 
 
 def _rank_list(text):
-    """`lo-hi` or a comma list of ranks."""
+    """`lo-hi` (as a range, never listed) or a comma list of ranks."""
     if "-" not in text:
         return [_integer(v) for v in text.split(",")]
     lo, hi = (_integer(v) for v in text.split("-", 1))
     if lo > hi:
         raise argparse.ArgumentTypeError(f"rank range {text!r} is empty")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _generate_spec(text):
@@ -529,15 +493,17 @@ def _generate_spec(text):
 
 
 def _freq_grid(text):
-    """`lo,hi,count` as `count` log-spaced frequencies from lo to hi."""
+    """`lo,hi,count` as `count` log-spaced frequencies from lo to hi; the
+    count is bounded by `evaluation.DEFAULT_CAP` before anything is allocated."""
     try:
         lo, hi, count = text.split(",")
         lo, hi, count = float(lo), float(hi), int(count)
-        if 0.0 < lo <= hi < np.inf and count >= 1:
+        if 0.0 < lo <= hi < np.inf and 1 <= count <= evaluation.DEFAULT_CAP:
             return statespace.log_grid(lo, hi, count)
     except (ValueError, BalselError):
         pass
-    raise argparse.ArgumentTypeError(f"expected lo,hi,count, 0 < lo < hi, count >= 1: {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected lo,hi,count, 0 < lo < hi, 1 <= count <= {evaluation.DEFAULT_CAP}: {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -637,6 +603,9 @@ def main(argv=None):
     except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BuildError as exc:
+        print(f"build error: {exc}", file=sys.stderr)
+        return EXIT_BUILD
     except BalselError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -47,3 +47,7 @@ class EnumerationCapError(BalselError, ValueError):
 
 class FormatError(BalselError, ValueError):
     """A text file (matrix / model / config) could not be parsed."""
+
+
+class BuildError(BalselError, RuntimeError):
+    """A C source of the package could not be compiled (no compiler, or it failed)."""

@@ -142,12 +142,14 @@ def rank_sweeps(model, ranks, seeds, count=200):
     so they are computed once for all seeds.  One balancing at the largest
     rank serves every rank: the rank-r modes are its first r columns.
     """
-    if min(ranks, default=0) < 1:  # a column slice would not catch it
-        raise RankError(f"ranks must be at least 1, got {list(ranks)}")
+    # a range's extremes are its ends, read in O(1) however long it is
+    ends = (ranks[0], ranks[-1]) if isinstance(ranks, range) and ranks else ranks
+    if min(ends, default=0) < 1:  # a column slice would not catch it
+        raise RankError(f"ranks must be at least 1, got {ranks}")
     grams = gramian.compute_gramians(model)
     gram_sensor = model.c @ grams.w_c @ model.c.conj().T
     gram_actuator = model.b.conj().T @ grams.w_o @ model.b
-    bal = balancing.balance(grams, max(ranks))
+    bal = balancing.balance(grams, max(ends))
     qr_values = []
     for r in ranks:
         sel = selection.select_subsets(model.c, model.b, bal.psi_r[:, :r], bal.phi_r[:, :r])

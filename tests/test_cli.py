@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,7 +132,6 @@ class TestModelFormat:
         entry = "0.5" if field == "real" else "0.5,0"
         m = cli.read_model("model discrete\n" + f"matrix 1 1 {field}\n{entry}\n" * 3)
         assert m.a.dtype == m.b.dtype == m.c.dtype == dtype
-        assert type(cli._parse_entry(entry, field)) is (float if field == "real" else complex)
 
 
 class TestKeyValueConfig:
@@ -213,6 +213,42 @@ class TestModelInputErrors:
         assert run([command, "--model", str(path)] + extra) == 3
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "non-finite" in err
+
+
+class TestUndecodableInput:
+    # files are read as bytes: a comment may hold any bytes, and an entry or
+    # a config file that is not ASCII / UTF-8 is a parse error naming it
+    def test_non_ascii_entry_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"model continuous\nmatrix 1 1 real\n\xff\n" + b"matrix 1 1 real\n1\n" * 2)
+        assert run(["select", "--model", str(path), "--rank", "1"]) == 3
+        assert capsys.readouterr().err == "parse error: bad matrix entry '\\xff'\n"
+
+    @pytest.mark.parametrize("entry", ["1_0", "\uff11", "\u0661", "1\xa02"],
+                             ids=["underscore", "fullwidth-digit", "arabic-digit", "nbsp"])
+    def test_tokens_outside_the_ascii_grammar_exit_3(self, tmp_path, capsys, entry):
+        path = tmp_path / "m.txt"
+        path.write_text("model continuous\nmatrix 1 1 real\n-1\nmatrix 1 1 real\n1\n"
+                        f"matrix 1 1 real\n{entry}\n", encoding="utf-8")
+        assert run(["select", "--model", str(path), "--rank", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad matrix entry '") and "Traceback" not in err
+
+    def test_latin1_comment_is_ignored(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_scalar_model(path)
+        plain = run(["select", "--model", str(path), "--rank", "1"]), capsys.readouterr()
+        path.write_bytes(b"# mod\xe8le \xff\x00\n" + path.read_bytes().replace(b"\n", b" # caf\xe9\n"))
+        assert (run(["select", "--model", str(path), "--rank", "1"]), capsys.readouterr()) == plain
+
+    def test_undecodable_gl_params_exit_3_naming_the_path(self, tmp_path, capsys):
+        cfgfile = tmp_path / "gl.cfg"
+        cfgfile.write_bytes(b"n=28 # \xff\n")
+        out = tmp_path / "gl"
+        assert run(["gl-demo", "--gl-params", str(cfgfile), "--rank", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: cannot read {cfgfile}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBadOptionValues:
@@ -318,6 +354,13 @@ class TestBadOptionValues:
         assert err.startswith("parse error:") and err.count("\n") == 1
         assert "usage:" not in err
         assert not out.exists()
+
+    def test_freq_grid_count_bounded_by_the_cap(self, capsys):
+        # refused before the 74.5 GiB grid is allocated
+        argv = ["select", "--generate", "6,4,4,1", "--rank", "2", "--metric", "h2"]
+        assert run(argv + ["--freq-grid", "1,10,10000000000"]) == 3
+        assert f"count <= {evaluation.DEFAULT_CAP}" in capsys.readouterr().err
+        assert cli._freq_grid(f"1,10,{evaluation.DEFAULT_CAP}").points.size == evaluation.DEFAULT_CAP
 
     def test_generate_sizes_stay_a_domain_error(self, capsys):
         assert run(["select", "--generate", "0,2,2,1", "--rank", "1"]) == 2
@@ -555,6 +598,21 @@ class TestBenchRandomCommand:
         args = ["bench-random", "--generate", "10,10,10,1", option, value, "--out", str(out)]
         assert run(args) == 3
         assert capsys.readouterr().err.startswith("parse error:")
+        assert not out.exists()
+
+    def test_huge_rank_range_names_the_largest_rank(self, tmp_path, capsys):
+        # the range is never listed: a 10^9-entry list would take gigabytes
+        out = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            code = run(["bench-random", "--generate", "6,4,4,1", "--ranks", "1-1000000000",
+                        "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: rank must be between 1 and 6, got 1000000000\n"
+        assert peak < 2**20
         assert not out.exists()
 
     def test_gramians_solved_once_for_all_seeds(self, tmp_path, capsys, schur_calls):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from balsel import cli, models, statespace
+from balsel.errors import BalselError, FormatError
 
 FUZZ = settings(
     max_examples=300,
@@ -56,31 +57,42 @@ _STRAY_TOKENS = ["nan", "inf", "-inf", "1,nan", "inf,0", ",", "1,", ",1", "1,2,3
                  "1e-300", "-2", "0.25", "4", "1e3", "-1e3", "1e-3"]
 
 
+# raw bytes put inside a token: non-ASCII (Latin-1, UTF-8 letters, a no-break
+# space, NEL and a fullwidth digit), NUL, two ASCII separators, and a comment
+# holding a non-UTF-8 byte
+_RAW_BYTES = [b"\xff", b"\xe9", b"\xc3\xa9", b"\xc2\xa0", b"\xc2\x85", b"\xef\xbc\x91",
+              b"\x00", b"\r", b"\x1c", b" # caf\xe9\n"]
+
+
 @st.composite
 def model_texts(draw):
-    tokens = _model_tokens(
+    """Model file bytes with up to three mutations."""
+    tokens = [tok.encode() for tok in _model_tokens(
         draw(st.integers(0, 3)),
         draw(st.sampled_from(["continuous", "discrete"])),
         draw(st.booleans()),
-    )
+    )]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(tokens) - 1))
-        kind = draw(st.sampled_from(["drop", "duplicate", "replace", "replace", "size"]))
+        kind = draw(st.sampled_from(["drop", "duplicate", "replace", "replace", "size", "bytes"]))
         if kind == "drop":
             del tokens[i]
         elif kind == "duplicate":
             tokens.insert(i, tokens[i])
         elif kind == "replace":
-            tokens[i] = draw(st.sampled_from(_STRAY_TOKENS))
+            tokens[i] = draw(st.sampled_from(_STRAY_TOKENS)).encode()
+        elif kind == "bytes":
+            j = draw(st.integers(0, len(tokens[i])))
+            tokens[i] = tokens[i][:j] + draw(st.sampled_from(_RAW_BYTES)) + tokens[i][j:]
         else:  # a header size, up to 10^5 x 10^5
-            headers = [j for j, tok in enumerate(tokens) if tok == "matrix"]
+            headers = [j for j, tok in enumerate(tokens) if tok == b"matrix"]
             if headers:
                 j = draw(st.sampled_from(headers)) + draw(st.sampled_from([1, 2]))
                 if j < len(tokens):
-                    tokens[j] = str(draw(st.integers(0, 10**5)))
+                    tokens[j] = str(draw(st.integers(0, 10**5))).encode()
         if not tokens:
             break
-    return draw(st.sampled_from([" ", "\n"])).join(tokens) + "\n"
+    return draw(st.sampled_from([b" ", b"\n"])).join(tokens) + b"\n"
 
 
 class TestModelFileFuzz:
@@ -97,12 +109,159 @@ class TestModelFileFuzz:
     def test_documented_exit_code(self, tmp_path, text, command):
         workdir = Path(tempfile.mkdtemp(dir=tmp_path))
         path = workdir / "m.txt"
-        path.write_text(text)
+        path.write_bytes(text)
         out = workdir / "out"
         code = run_quietly(command + ["--model", str(path), "--out", str(out)])
         assert code in EXIT_CODES
         if code == 3:
             assert not out.exists()
+
+
+# ------------------------------------------------------------ reader oracle
+#
+# The str reader the compiled scanner replaced, kept here as an oracle: on the
+# fuzz corpus both readers must give the same arrays, bit for bit, or the same
+# FormatError message.  The exception is the documented tightening: a token
+# float() accepts outside the ASCII grammar (underscores, non-ASCII digits)
+# and non-ASCII whitespace or line ends are no longer read as numbers or
+# separators, so an input with non-ASCII bytes or '_' may now be refused.
+
+
+class _OracleTokens:
+    def __init__(self, text):
+        self._lines = iter(text.splitlines())
+        self.capacity = (len(text) + 1) // 2
+        self._line = []
+        self._pos = 0
+
+    def _current_line(self):
+        while self._pos >= len(self._line):
+            self._line = next(self._lines).split("#", 1)[0].split()
+            self._pos = 0
+        return self._line
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = self._current_line()
+        self._pos += 1
+        return line[self._pos - 1]
+
+    def take(self, limit):
+        try:
+            line = self._current_line()
+        except StopIteration:
+            return []
+        start = self._pos
+        self._pos = min(len(line), start + limit)
+        return line[start : self._pos]
+
+
+def _oracle_entry(tok, field):
+    try:
+        if field == "complex":
+            re_s, im_s = tok.split(",")
+            return complex(float(re_s), float(im_s))
+        return float(tok)
+    except ValueError as exc:
+        raise FormatError(f"bad matrix entry {tok!r}") from exc
+
+
+def _oracle_entries(tokens, field, out):
+    try:
+        if field == "complex":
+            parts = np.array([tok.split(",") for tok in tokens], dtype=float)
+            if parts.shape[1] != 2:
+                raise ValueError("complex entries need exactly one comma")
+            out.real = parts[:, 0]
+            out.imag = parts[:, 1]
+        else:
+            out[:] = np.array(tokens, dtype=float)
+    except ValueError:
+        out[:] = [_oracle_entry(tok, field) for tok in tokens]
+
+
+def _oracle_matrix(tokens):
+    try:
+        head = next(tokens)
+    except StopIteration as exc:
+        raise FormatError("expected a matrix block") from exc
+    if head != "matrix":
+        raise FormatError(f"expected 'matrix' header, found {head!r}")
+    try:
+        rows = int(next(tokens))
+        cols = int(next(tokens))
+        field = next(tokens)
+    except (StopIteration, ValueError) as exc:
+        raise FormatError("malformed matrix header") from exc
+    if rows < 0 or cols < 0:
+        raise FormatError("malformed matrix header")
+    if field not in ("real", "complex"):
+        raise FormatError(f"unknown field tag {field!r}")
+    total = rows * cols
+    if total > tokens.capacity:
+        raise FormatError("matrix block ended early")
+    data = np.zeros(total, dtype=np.complex128 if field == "complex" else np.float64)
+    filled = 0
+    while filled < total:
+        chunk = tokens.take(total - filled)
+        if not chunk:
+            raise FormatError("matrix block ended early")
+        _oracle_entries(chunk, field, data[filled : filled + len(chunk)])
+        filled += len(chunk)
+    if not np.isfinite(data).all():
+        raise FormatError("matrix has non-finite (nan or inf) entries")
+    return data.reshape(rows, cols)
+
+
+def oracle_read_model(text):
+    tokens = _OracleTokens(text)
+    try:
+        head = next(tokens)
+    except StopIteration as exc:
+        raise FormatError("empty model file") from exc
+    if head != "model":
+        raise FormatError(f"expected 'model' header, found {head!r}")
+    try:
+        domain = next(tokens)
+    except StopIteration as exc:
+        raise FormatError("missing time-domain tag") from exc
+    if domain not in (statespace.CONTINUOUS, statespace.DISCRETE):
+        raise FormatError(f"unknown time domain {domain!r}")
+    a = _oracle_matrix(tokens)
+    b = _oracle_matrix(tokens)
+    c = _oracle_matrix(tokens)
+    extra = next(tokens, None)
+    if extra is not None:
+        raise FormatError(f"unexpected trailing input {extra!r}")
+    try:
+        return statespace.StateSpaceModel(a, b, c, time_domain=domain)
+    except BalselError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _outcome(read, text):
+    """The model `read` makes of `text` as comparable bytes, or its FormatError message."""
+    try:
+        m = read(text)
+    except FormatError as exc:
+        return str(exc)
+    return m.time_domain, [(x.dtype.str, x.shape, x.tobytes()) for x in (m.a, m.b, m.c)]
+
+
+class TestReaderOracle:
+    @FUZZ
+    @given(model_texts())
+    def test_same_arrays_or_message_as_the_str_reader(self, text):
+        new = _outcome(cli.read_model, text)
+        # the str reader was never handed undecodable text (its CLI ended in
+        # a traceback); with U+FFFD for the bad bytes, a comment still reads
+        old = _outcome(oracle_read_model, text.decode("utf-8", "replace"))
+        if text.isascii() and b"_" not in text:
+            assert new == old
+        else:  # refused now, or read as before
+            assert isinstance(new, str) or new == old
 
 
 # ------------------------------------------------------------ option values
