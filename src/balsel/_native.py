@@ -1,4 +1,4 @@
-"""The package's C sources, compiled on first use and loaded with ctypes.
+"""The package's C source, compiled on first use and loaded with ctypes.
 
 `library(source)` compiles `src/balsel/<source>` with the C compiler Python
 was built with (plain ``-O2 -shared -fPIC``) into
@@ -6,8 +6,11 @@ was built with (plain ``-O2 -shared -fPIC``) into
 name carries a hash of the source, so an edited source builds a new file
 and an unchanged one is reused across processes.  The compiler writes a
 temporary name that is then renamed into place, so concurrent builds
-never load a half-written file.  When the package directory cannot be
-written, the library is built in a temporary directory for this process.
+never load a half-written file.  A build then removes, as far as it can,
+the cached libraries of the same source's other hashes and the temporary
+files of builds whose process has ended.  When the package directory
+cannot be written, the library is built in a temporary directory for this
+process.
 A missing or failing compiler, or a library that does not load, raises
 `BuildError`.
 
@@ -16,6 +19,7 @@ Nothing is compiled at import time.
 
 import ctypes
 import functools
+import glob
 import hashlib
 import os
 import shlex
@@ -41,6 +45,32 @@ def _compile(source, target):
         raise BuildError(f"{shlex.join(cmd)} failed: {first}")
 
 
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # exists, owned by another user
+        pass
+    return True
+
+
+def _prune(cache_dir, stem, target):
+    """Remove `stem`'s libraries other than `target` from `cache_dir`, and
+    the partial files of builds whose process is gone.  Best effort: a file
+    that cannot be removed stays."""
+    stale = [p for p in glob.glob(os.path.join(cache_dir, f"{stem}-*.so")) if p != target]
+    for partial in glob.glob(os.path.join(cache_dir, f"{stem}-*.so.*.tmp")):
+        pid = partial.rsplit(".", 2)[-2]
+        if not (pid.isdigit() and _alive(int(pid))):
+            stale.append(partial)
+    for path in stale:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+
+
 def _build(source, cache_dir):
     """Path of the shared library of C file `source` in `cache_dir`, compiled
     there unless a library of the same source hash is already present."""
@@ -56,6 +86,7 @@ def _build(source, cache_dir):
         finally:
             if os.path.exists(partial):
                 os.remove(partial)
+        _prune(cache_dir, stem, target)
     return target
 
 
@@ -87,10 +118,20 @@ def library(source):
 
 @functools.cache
 def scanner():
-    """`balsel_scan` of `_scan.c` (see there) with its argument types."""
-    fn = library("_scan.c").balsel_scan
+    """`balsel_scan` of `_kernels.c` (see there) with its argument types."""
+    fn = library("_kernels.c").balsel_scan
     size = ctypes.c_ssize_t
     fn.argtypes = [ctypes.c_char_p, size, size, ctypes.c_int, ctypes.c_void_p, size,
                    ctypes.POINTER(size)]
+    fn.restype = size
+    return fn
+
+
+@functools.cache
+def formatter():
+    """`balsel_format` of `_kernels.c` (see there) with its argument types."""
+    fn = library("_kernels.c").balsel_format
+    size = ctypes.c_ssize_t
+    fn.argtypes = [ctypes.c_void_p, size, size, ctypes.c_int, ctypes.c_void_p, size]
     fn.restype = size
     return fn

@@ -14,11 +14,13 @@ followed by whitespace-separated row-major entries, complex entries as
 ``re,im``; ``#`` starts a comment.  A model file is a line
 ``model <continuous|discrete>`` followed by the A, B, C matrix blocks.
 Files are read as bytes: separators are ASCII whitespace, entries are
-ASCII numbers (see ``_scan.c``), and comments may hold any bytes.
+ASCII numbers (see ``_kernels.c``), and comments may hold any bytes.
+Every float is written as ``f"{x:.17g}"`` spells it; matrix blocks and the
+``bruteforce`` value column come from one compiled formatter call per chunk.
 Indices printed by commands are 1-based; exit codes are 0 (ok),
 2 (domain error), 3 (parse error: a malformed command line, option value,
-input file or unwritable output), 4 (resource cap), 5 (the number scanner
-could not be compiled).
+input file or unwritable output), 4 (resource cap), 5 (the compiled number
+scanner and formatter could not be built).
 """
 
 import argparse
@@ -60,10 +62,28 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _fmt_entry(z, field):
-    if field == "real":
-        return _fmt(z.real)
-    return f"{_fmt(z.real)},{_fmt(z.imag)}"
+# Bytes of one real entry and its separator: "-1.2345678901234567e-308 ".
+_ENTRY_BYTES = 25
+# Text formatted per compiled call; a longer block is written in row chunks.
+_CHUNK_BYTES = 1 << 20
+
+
+def _write_rows(fh, a):
+    """Write the rows of 2-D real or complex `a` as text: each number as
+    `_fmt` spells it, re,im for a complex entry, a space between entries and
+    a newline after each row.  One compiled call per chunk of rows, each
+    chunk a C-contiguous float64/complex128 copy only where needed."""
+    fmt = _native.formatter()
+    pairs = np.iscomplexobj(a)
+    dtype = np.complex128 if pairs else np.float64
+    rows, cols = a.shape
+    row_bytes = cols * _ENTRY_BYTES * (2 if pairs else 1) + 1
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    buf = np.empty(step * row_bytes, dtype=np.uint8)
+    for start in range(0, rows, step):
+        chunk = np.ascontiguousarray(a[start:start + step], dtype=dtype)
+        n = fmt(chunk.ctypes.data, len(chunk), cols, pairs, buf.ctypes.data, buf.size)
+        fh.write(str(buf[:n].data, "ascii"))
 
 
 def write_matrix(fh, a, name=None):
@@ -72,13 +92,12 @@ def write_matrix(fh, a, name=None):
     if name:
         fh.write(f"# {name}\n")
     fh.write(f"matrix {a.shape[0]} {a.shape[1]} {field}\n")
-    for row in a:
-        fh.write(" ".join(_fmt_entry(z, field) for z in row) + "\n")
+    _write_rows(fh, a if field == "complex" else a.real)
 
 
 # A token and the separators and '#' comments before it.  Separators are the
 # ASCII bytes str.split() treats as whitespace; a comment runs to the next
-# ASCII line end str.splitlines() honours.  _scan.c reads the same grammar.
+# ASCII line end str.splitlines() honours.  _kernels.c reads the same grammar.
 _TOKEN = re.compile(rb"(?:[\t-\r\x1c-\x20]|#[^\n-\r\x1c-\x1e]*)*([^\t-\r\x1c-\x20#]*)")
 
 
@@ -265,6 +284,7 @@ def _select_on_model(m, r, no_collocate):
 
 
 def cmd_gramians(args):
+    _native.formatter()  # a build failure then leaves no partial file
     m = _load_model(args)
     grams = gramian.compute_gramians(m)
     outdir = args.out or "."
@@ -321,6 +341,7 @@ def cmd_select(args):
 
 
 def cmd_bruteforce(args):
+    _native.formatter()  # a build failure then leaves no partial file
     m = _load_model(args)
     budget = _rank(args)
     grams, bal, sel = _select_on_model(m, budget, args.no_collocate)
@@ -333,8 +354,7 @@ def cmd_bruteforce(args):
     out = args.out or "bruteforce.csv"
     with open(out, "w") as fh:
         fh.write("value\n")
-        for v in values:
-            fh.write(_fmt(v) + "\n")
+        _write_rows(fh, values[:, None])
         fh.write(
             f"# best={_fmt(values.max())} qr={_fmt(qr_value)} percentile={_fmt(pct)}\n"
         )

@@ -1,4 +1,5 @@
-"""The compiled number scanner of the matrix text format, and its build.
+"""The compiled number scanner of the matrix text format, and the build of
+the package's C source.
 
 Every number the scanner converts must be bit-identical to Python's
 `float()` of the same token; the cases aim at its exact fast path (at most
@@ -229,12 +230,13 @@ class TestGrammar:
 def fresh_build(monkeypatch, tmp_path):
     """Library caches cleared, and the build cache moved to an empty
     directory, for the test and restored after it."""
+    caches = (_native.library, _native.scanner, _native.formatter)
     monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "cache"))
-    _native.library.cache_clear()
-    _native.scanner.cache_clear()
+    for fn in caches:
+        fn.cache_clear()
     yield tmp_path / "cache"
-    _native.library.cache_clear()
-    _native.scanner.cache_clear()
+    for fn in caches:
+        fn.cache_clear()
 
 
 @pytest.fixture
@@ -248,6 +250,12 @@ def compiler_calls(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", counting)
     return calls
+
+
+def _copy_source(directory):
+    source = directory / "_kernels.c"
+    shutil.copy(os.path.join(os.path.dirname(_native.__file__), "_kernels.c"), source)
+    return source
 
 
 def _set_compiler(monkeypatch, command):
@@ -285,15 +293,14 @@ class TestBuild:
         assert [p.suffix for p in fresh_build.iterdir()] == [".so"]
 
     def test_a_new_source_hash_builds_a_new_file(self, tmp_path, compiler_calls):
-        source = tmp_path / "_scan.c"
-        shutil.copy(os.path.join(os.path.dirname(_native.__file__), "_scan.c"), source)
+        source = _copy_source(tmp_path)
         first = _native._build(str(source), str(tmp_path))
         assert _native._build(str(source), str(tmp_path)) == first
         assert len(compiler_calls) == 1
         with open(source, "a") as fh:
             fh.write("/* edited */\n")
         second = _native._build(str(source), str(tmp_path))
-        assert second != first and os.path.exists(first) and os.path.exists(second)
+        assert second != first and not os.path.exists(first) and os.path.exists(second)
         assert len(compiler_calls) == 2
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
@@ -322,7 +329,7 @@ class TestBuild:
         assert not fresh_build.exists() or not list(fresh_build.iterdir())
 
     def test_unloadable_library_raises_build_error(self, tmp_path):
-        garbage = tmp_path / "_scan-0000000000000000.so"
+        garbage = tmp_path / "_kernels-0000000000000000.so"
         garbage.write_bytes(b"not a shared library")
         with pytest.raises(BuildError, match="^cannot load "):
             _native._load(str(garbage))
@@ -337,3 +344,63 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.startswith("build error: false -O2 -shared -fPIC")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gramians", "--generate", "4,2,2,0"],
+                                      ["bruteforce", "--generate", "6,6,6,0", "--budget", "2"]])
+    def test_writes_need_the_compiler_too(self, tmp_path, monkeypatch, capsys, fresh_build,
+                                          argv):
+        _set_compiler(monkeypatch, "false")
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert cli.main(argv) == cli.EXIT_BUILD
+        assert not list((tmp_path / "work").iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("build error: false -O2 -shared -fPIC")
+        assert captured.err.count("\n") == 1
+
+
+class TestPrune:
+    """A build removes its source's stale libraries and orphaned partials."""
+
+    DEAD_PID = 2**31 - 1  # above any pid_max
+
+    def test_stale_siblings_and_orphans_go(self, tmp_path):
+        source = _copy_source(tmp_path)
+        stale = tmp_path / "_kernels-0123456789abcdef.so"
+        orphan = tmp_path / f"_kernels-0123456789abcdef.so.{self.DEAD_PID}.tmp"
+        live = tmp_path / f"_kernels-fedcba9876543210.so.{os.getpid()}.tmp"
+        others = [tmp_path / "_scan-0123456789abcdef.so", tmp_path / "_kernels.c.bak"]
+        for path in (stale, orphan, live, *others):
+            path.write_bytes(b"x")
+        target = _native._build(str(source), str(tmp_path))
+        assert os.path.exists(target)
+        assert not stale.exists() and not orphan.exists()
+        assert live.exists() and all(p.exists() for p in others)
+
+    def test_the_current_library_is_kept(self, tmp_path, compiler_calls):
+        source = _copy_source(tmp_path)
+        target = _native._build(str(source), str(tmp_path))
+        stale = tmp_path / "_kernels-0123456789abcdef.so"
+        stale.write_bytes(b"x")
+        # reused, not built: nothing is pruned
+        assert _native._build(str(source), str(tmp_path)) == target
+        assert stale.exists() and len(compiler_calls) == 1
+        _native._prune(str(tmp_path), "_kernels", target)
+        assert os.path.exists(target) and not stale.exists()
+        assert _native._load(target).balsel_format
+
+    def test_a_file_that_cannot_be_removed_stays(self, tmp_path, monkeypatch):
+        source = _copy_source(tmp_path)
+        stuck = tmp_path / "_kernels-0123456789abcdef.so"
+        stuck.write_bytes(b"x")
+        real = os.remove
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(stuck):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        target = _native._build(str(source), str(tmp_path))
+        assert os.path.exists(target) and stuck.exists()

@@ -7,7 +7,9 @@ Usage (from the repository root):
 
 The parent revision is extracted with `git archive` into a temporary
 directory, so the repository itself is never touched; the change is the
-working tree this script lives in.  Pair i runs `perfbench/run.py
+working tree this script lives in.  Before pair 0, one discarded
+`--seconds 0` run per side and workload warms both trees, so that no
+counted run compiles a side's C library.  Pair i runs `perfbench/run.py
 --workload <w> --seed <first-seed + i> --seconds <s> --trace 0` once on each
 side, each run in a fresh process, the parent first on even pairs and the
 change first on odd ones.  `--traced-pairs K` adds K pairs of `--trace 1`
@@ -136,6 +138,9 @@ def main(argv=None):
         plan = [(i, False) for i in range(args.pairs)]
         plan += [(args.pairs + i, True) for i in range(args.traced_pairs)]
         for wl in workloads:
+            for side, root in sides.items():
+                warm = run_once(root, wl, args.first_seed, 0, False)
+                print(f"{wl} warm-up {side}: correct={warm.get('correct')}", flush=True)
             for pair, traced in plan:
                 seed = args.first_seed + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -156,6 +161,7 @@ def main(argv=None):
         "change": "working tree on " + _git("rev-parse", "--short", "HEAD"),
         "order": "even pairs run the parent first, odd pairs the change first; "
                  "each run a fresh process",
+        "warmed": True,
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "quartiles": "numpy.percentile 25/75 (linear) over the runs of one side",
