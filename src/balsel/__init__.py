@@ -10,7 +10,6 @@ needed to evaluate the selections.
 
 from .balancing import BalancedRealization, ReducedModel, balance, truncate, truncation_error_bound
 from .evaluation import (
-    EnsembleStats,
     brute_force,
     logdet_objective,
     percentile_strictly_below,
@@ -59,7 +58,6 @@ from .statespace import (
     FrequencyGrid,
     StateSpaceModel,
     adjoint_model,
-    default_grid,
     difference_model,
     h2_norm_frequency,
     h2_norm_gramian,

@@ -44,7 +44,6 @@ class ReducedModel:
     """Balanced-truncation reduced model with its H-infinity error bound."""
 
     model: statespace.StateSpaceModel
-    parent: statespace.StateSpaceModel
     error_bound: float
 
 
@@ -92,11 +91,7 @@ def truncate(m, bal):
         m.c @ psi,
         time_domain=m.time_domain,
     )
-    return ReducedModel(
-        model=reduced,
-        parent=m,
-        error_bound=truncation_error_bound(bal.hankel, bal.rank),
-    )
+    return ReducedModel(reduced, truncation_error_bound(bal.hankel, bal.rank))
 
 
 def truncation_error_bound(hankel, r):

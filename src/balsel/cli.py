@@ -558,7 +558,7 @@ def build_parser():
     p.add_argument("--budget", type=_integer)
     p.add_argument("--no-collocate", action="store_true")
     p.add_argument("--metric", choices=("logdet", "trace", "h2"), default="logdet")
-    p.add_argument("--freq-grid", type=_freq_grid, default=statespace.default_grid(),
+    p.add_argument("--freq-grid", type=_freq_grid, default=statespace.log_grid(),
                    help="frequency grid lo,hi,count")
     p.add_argument("--out", help="CSV output path")
 
@@ -620,8 +620,8 @@ def main(argv=None):
     except OSError as exc:  # inputs are read under FormatError: an output failed
         print(f"parse error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EnumerationCapError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (EnumerationCapError, MemoryError) as exc:  # e.g. numpy's "Unable to allocate ..."
+        print(f"cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except BuildError as exc:
         print(f"build error: {exc}", file=sys.stderr)

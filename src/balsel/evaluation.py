@@ -9,7 +9,6 @@ below the reference, times 100.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from . import balancing, gramian, matkernel, selection
 from .errors import EnumerationCapError, RankError
 
 __all__ = [
-    "EnsembleStats",
     "logdet_objective",
     "trace_objective",
     "brute_force",
@@ -28,15 +26,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10**6
-
-
-@dataclass
-class EnsembleStats:
-    """Objective values of randomly sampled selections."""
-
-    samples: np.ndarray
-    mean: float
-    std: float
+# Principal submatrices per slogdet call in `_batched_logdets`.
+_BATCH = 50000
 
 
 def percentile_strictly_below(values, x):
@@ -59,16 +50,16 @@ def trace_objective(indices, gram):
     return float(_subset_values(matkernel.as_matrix(gram), np.asarray(indices)[None], "trace")[0])
 
 
-def _batched_logdets(gram, index_array, batch=50000):
-    """slogdet of many principal submatrices, batched to bound memory."""
+def _batched_logdets(gram, index_array):
+    """slogdet of many principal submatrices, `_BATCH` at a time to bound memory."""
     count = index_array.shape[0]
     vals = np.empty(count)
-    for s in range(0, count, batch):
-        blk = index_array[s : s + batch]
+    for s in range(0, count, _BATCH):
+        blk = index_array[s : s + _BATCH]
         sub = gram[blk[:, :, None], blk[:, None, :]]
         sign, ld = np.linalg.slogdet(sub)
         ld = np.where(sign == 0, -np.inf, ld)
-        vals[s : s + batch] = ld
+        vals[s : s + _BATCH] = ld
     return vals
 
 
@@ -111,7 +102,7 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
 
 
 def random_ensemble(gram, budget, count, seed):
-    """Uniform random index subsets (without replacement) and their log-dets."""
+    """Log-dets of `count` uniform random index subsets (without replacement)."""
     if count < 1:
         raise ValueError("need at least one sample")
     gram = matkernel.as_matrix(gram)
@@ -120,8 +111,7 @@ def random_ensemble(gram, budget, count, seed):
     index_array = np.empty((count, budget), dtype=np.intp)
     for i in range(count):
         index_array[i] = rng.choice(p, size=budget, replace=False)
-    vals = _subset_values(gram, index_array, "logdet")
-    return EnsembleStats(samples=vals, mean=float(np.mean(vals)), std=float(np.std(vals)))
+    return _subset_values(gram, index_array, "logdet")
 
 
 def rank_sweep(model, ranks, count=200, seed=0):
@@ -163,9 +153,8 @@ def rank_sweeps(model, ranks, seeds, count=200):
         rows = []
         for r, qr_value in zip(ranks, qr_values):
             sub_seed = int(rng.integers(0, 2**63 - 1))
-            sens = random_ensemble(gram_sensor, r, count, sub_seed)
-            act = random_ensemble(gram_actuator, r, count, sub_seed + 1)
-            samples = sens.samples + act.samples
+            samples = (random_ensemble(gram_sensor, r, count, sub_seed)
+                       + random_ensemble(gram_actuator, r, count, sub_seed + 1))
             rows.append(
                 {
                     "r": r,

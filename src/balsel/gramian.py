@@ -64,7 +64,6 @@ class GramianPair:
     w_o: np.ndarray
     residual_c: float
     residual_o: float
-    source_tag: str = "exact"
 
 
 def _leaf(a, b, c, discrete):
@@ -228,16 +227,22 @@ def compute_gramians(m):
     w_o = _solve_from_schur(form.adjoint(), cc, discrete)
     res_c = residual(m.a, w_c, bb)
     res_o = residual(a_adj, w_o, cc)
-    return GramianPair(w_c, w_o, res_c, res_o, source_tag="exact")
+    return GramianPair(w_c, w_o, res_c, res_o)
 
 
-def empirical_gramians(direct, adjoint, weights, decay_tol=1e-6, decay_hard=1e-3):
+# Relative norm of the last snapshot block (to the first) above which
+# `empirical_gramians` warns, and above which it raises HorizonError.
+_DECAY_WARN = 1e-6
+_DECAY_MAX = 1e-3
+
+
+def empirical_gramians(direct, adjoint, weights):
     """Quadrature gramians from impulse-response snapshot blocks.
 
     The snapshot blocks come from `statespace.impulse_snapshots`.  The final
-    block must have decayed relative to the initial one: below `decay_hard`
-    relative norm is required (HorizonError otherwise), below `decay_tol`
-    is expected (a warning is emitted in between).
+    block must have decayed relative to the initial one: below `_DECAY_MAX`
+    relative norm is required (HorizonError otherwise), below `_DECAY_WARN`
+    is expected (a warning is emitted in between).  The residuals are nan.
     """
     direct = matkernel.as_matrix(direct)
     adjoint = matkernel.as_matrix(adjoint)
@@ -251,12 +256,12 @@ def empirical_gramians(direct, adjoint, weights, decay_tol=1e-6, decay_hard=1e-3
     for name, x, width in (("direct", direct, q), ("adjoint", adjoint, p)):
         first = np.linalg.norm(x[:, :width])
         last = np.linalg.norm(x[:, -width:])
-        if first > 0 and last > decay_hard * first:
+        if first > 0 and last > _DECAY_MAX * first:
             raise HorizonError(
                 f"{name} snapshots decayed only to {last / first:.2e} of the "
                 f"initial norm; lengthen the horizon"
             )
-        if first > 0 and last > decay_tol * first:
+        if first > 0 and last > _DECAY_WARN * first:
             warnings.warn(
                 f"{name} snapshot horizon is marginal "
                 f"(relative final norm {last / first:.2e})",
@@ -265,9 +270,7 @@ def empirical_gramians(direct, adjoint, weights, decay_tol=1e-6, decay_hard=1e-3
 
     w_c = (direct * np.repeat(weights, q)) @ direct.conj().T
     w_o = (adjoint * np.repeat(weights, p)) @ adjoint.conj().T
-    return GramianPair(
-        _hermitize(w_c), _hermitize(w_o), np.nan, np.nan, source_tag="empirical"
-    )
+    return GramianPair(_hermitize(w_c), _hermitize(w_o), np.nan, np.nan)
 
 
 def care_residual(a, b, q, r, x):
@@ -309,6 +312,8 @@ def solve_care(a, b, q_weight, r_weight):
     n = a.shape[0]
     if b.shape[0] != n or q_weight.shape != (n, n):
         raise DimensionError("incompatible Riccati dimensions")
+    if not all(np.isfinite(x).all() for x in (a, b, q_weight, r_weight)):
+        raise DimensionError("Riccati data has non-finite (nan or inf) entries")
 
     try:
         g = b @ np.linalg.solve(r_weight, b.conj().T)

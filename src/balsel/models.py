@@ -136,6 +136,8 @@ class GinzburgLandauParams:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("grid size must be at least 4")
+        if not np.isfinite([self.nu, self.beta_diff, *self.mu_profile, self.kernel_width]).all():
+            raise ValueError("nu, beta_diff, mu_profile and kernel_width must be finite")
         if self.kernel_width <= 0:
             raise ValueError("kernel width must be positive")
         self.grid = hermite_roots(self.n)

@@ -57,7 +57,6 @@ class SelectionResult:
     beta: np.ndarray
     r_diag_sensors: np.ndarray
     r_diag_actuators: np.ndarray
-    collocation_forbidden: bool = False
 
 
 @dataclass
@@ -152,15 +151,14 @@ def select_noncollocated(
     taken = beta if actuator_locations is None else np.asarray(actuator_locations)[beta]
     forbidden = np.flatnonzero(np.isin(sensor_locations, taken))
     gamma, r_diag_s = _pivots(cp.conj().T, cp.shape[1], "sensors", forbidden)
-    if np.isin(sensor_locations[gamma], taken).any():
-        raise FeasibilityError("collocation exclusion failed")  # defensive
-    return SelectionResult(gamma, beta, r_diag_s, r_diag_b, collocation_forbidden=True)
+    return SelectionResult(gamma, beta, r_diag_s, r_diag_b)
 
 
-def select_subsets(c, b, psi_r, phi_r, no_collocate=False, **location_maps):
-    """Select both index sets; dispatches on the collocation flag."""
+def select_subsets(c, b, psi_r, phi_r, no_collocate=False):
+    """Select both index sets; with `no_collocate`, by `select_noncollocated`
+    on the identity location maps."""
     if no_collocate:
-        return select_noncollocated(c, b, psi_r, phi_r, **location_maps)
+        return select_noncollocated(c, b, psi_r, phi_r)
     gamma, rd_s = select_sensors(c, psi_r)
     beta, rd_a = select_actuators(b, phi_r)
     return SelectionResult(gamma, beta, rd_s, rd_a)
@@ -240,28 +238,28 @@ def _state_error_bounds(c, psi_r, hankel, forms, what):
     return [float(norms / smin * growth[form] * tail) for form in forms]
 
 
-def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None, check=True):
+def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None):
     """Guaranteed lower bound on the rank-r log-det sensor objective.
 
     The objective is log|C_hat W_hat_c C_hat*| with W_hat_c the rank-r
-    balanced approximation Psi_r diag(sigma) Psi_r*.  When `gamma` is given
-    and `check` is true, the achieved objective is computed and the bound
-    asserted against it.
+    balanced approximation Psi_r diag(sigma) Psi_r*.  When `gamma` is given,
+    the achieved objective is computed and the bound checked against it
+    (NumericError if it exceeds it).
     """
-    return _logdet_lower_bound(c, psi_r, hankel, gamma, check, "sensors")
+    return _logdet_lower_bound(c, psi_r, hankel, gamma, "sensors")
 
 
-def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None, check=True):
+def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None):
     """Dual guaranteed lower bound for the actuator log-det objective."""
     b = matkernel.as_matrix(b)
-    return _logdet_lower_bound(b.conj().T, phi_r, hankel, beta, check, "actuators")
+    return _logdet_lower_bound(b.conj().T, phi_r, hankel, beta, "actuators")
 
 
-def _logdet_lower_bound(c, psi_r, hankel, gamma, check, what):
+def _logdet_lower_bound(c, psi_r, hankel, gamma, what):
     c, psi_r, p, r, smin = _sampled(c, psi_r, what)
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
-    if gamma is not None and check:
+    if gamma is not None:
         achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma)
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
             raise NumericError(f"log-det lower bound {bound} exceeds achieved {achieved}")

@@ -18,7 +18,6 @@ __all__ = [
     "StateSpaceModel",
     "FrequencyGrid",
     "log_grid",
-    "default_grid",
     "is_stable",
     "transfer_eval",
     "h2_norm_gramian",
@@ -93,12 +92,8 @@ class FrequencyGrid:
 
 
 def log_grid(lo=1e-3, hi=1e3, count=400):
+    """`count` log-spaced points in [lo, hi] rad/s (the default H2 grid)."""
     return FrequencyGrid(np.logspace(np.log10(lo), np.log10(hi), count))
-
-
-def default_grid():
-    """400 log-spaced points in [1e-3, 1e3] rad/s."""
-    return log_grid()
 
 
 def is_stable(m):
@@ -136,21 +131,23 @@ def _responses(m, points):
         yield g
 
 
-def h2_norm_gramian(m, w, rel_tol=1e-8):
+def h2_norm_gramian(m, w):
     """H2 norm from gramians: sqrt(tr(C Wc C*)).
 
-    Cross-checks the dual form sqrt(tr(B* Wo B)) and raises if the two
-    disagree by more than `rel_tol` relatively.
+    Cross-checks the dual form sqrt(tr(B* Wo B)) and raises NumericError if
+    the two disagree by more than 1e-8 relatively.
     """
     if not is_stable(m):
         raise UnstableSystemError("H2 norm undefined for unstable systems")
-    return _h2_from_gramians(m, w, rel_tol)
+    return _h2_from_gramians(m, w, 1e-8)
 
 
 def _h2_from_gramians(m, w, rel_tol):
-    """The trace formulas of `h2_norm_gramian` for a model known to be stable."""
-    from_c = np.trace(m.c @ w.w_c @ m.c.conj().T).real
-    from_b = np.trace(m.b.conj().T @ w.w_o @ m.b).real
+    """The trace formulas of `h2_norm_gramian` for a model known to be
+    stable, at a cross-check tolerance `rel_tol`.  Each trace is one vdot
+    of p x n (or n x q) matrices, never a p x p (or q x q) product."""
+    from_c = np.vdot(m.c, m.c @ w.w_c).real  # tr(C Wc C*)
+    from_b = np.vdot(m.b, w.w_o @ m.b).real  # tr(B* Wo B)
     scale = max(abs(from_c), abs(from_b), 1e-300)
     if abs(from_c - from_b) > rel_tol * scale:
         raise NumericError(
@@ -169,7 +166,7 @@ def h2_norm_frequency(m, grid=None):
     """
     if not is_stable(m):
         raise UnstableSystemError("H2 norm undefined for unstable systems")
-    return _h2_from_frequency(m, default_grid() if grid is None else grid)
+    return _h2_from_frequency(m, log_grid() if grid is None else grid)
 
 
 def _nodes(m, grid):
@@ -208,7 +205,7 @@ def hinf_estimate(m, grid=None):
     """
     if not is_stable(m):
         raise UnstableSystemError("H-infinity norm undefined for unstable systems")
-    _, points = _nodes(m, default_grid() if grid is None else grid)
+    _, points = _nodes(m, log_grid() if grid is None else grid)
     return float(max(np.linalg.svd(g, compute_uv=False)[0] for g in _responses(m, points)))
 
 

@@ -75,7 +75,7 @@ class TestBalance:
         # rank-1 PSD gramians: plain Cholesky fails, the pivoted factor works
         u = np.array([[1.0], [2.0]])
         w = (u @ u.T).astype(complex)
-        g = gramian.GramianPair(w, w, 0.0, 0.0, source_tag="empirical")
+        g = gramian.GramianPair(w, w, 0.0, 0.0)
         bal = balancing.balance(g, 1)
         assert bal.hankel[0] > 0
         assert np.linalg.norm(bal.phi_r.conj().T @ bal.psi_r - np.eye(1)) <= 1e-8
@@ -92,7 +92,7 @@ class TestBalance:
                 x += 1j * rng.standard_normal((12, 4))
             return x @ x.conj().T
 
-        g = gramian.GramianPair(low_rank(), low_rank(), 0.0, 0.0, source_tag="empirical")
+        g = gramian.GramianPair(low_rank(), low_rank(), 0.0, 0.0)
         bal = balancing.balance(g, 4)
         lam = np.sort(np.abs(np.linalg.eigvals(g.w_c @ g.w_o)))[::-1]
         np.testing.assert_allclose(bal.hankel[:4], np.sqrt(lam[:4]), rtol=1e-9)
@@ -132,7 +132,7 @@ class TestTruncate:
         m = random_stable_system(6, 2, 2, seed=53)
         bal = balancing.balance(gramian.compute_gramians(m), 6)
         red = balancing.truncate(m, bal)
-        grid = statespace.default_grid()
+        grid = statespace.log_grid()
         worst = max(
             np.abs(
                 statespace.transfer_eval(m, 1j * w)

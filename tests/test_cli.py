@@ -261,6 +261,10 @@ class TestBadOptionValues:
             (["gl-demo", "--rank", "1"], {}, "kernel_width = x\n"),
             (["gl-demo", "--rank", "1"], {}, "mu_profile = 1,a,2\n"),
             (["gl-demo", "--rank", "1"], {}, "kernel_widht = 0.9\n"),
+            (["gl-demo", "--rank", "1"], {}, "mu_profile = 0.37, 0, nan\n"),
+            (["gl-demo", "--rank", "1"], {}, "nu = nan\n"),
+            (["gl-demo", "--rank", "1"], {}, "beta_diff = 1-infj\n"),
+            (["gl-demo", "--rank", "1"], {}, "kernel_width = inf\n"),
             (["gl-demo", "--rank", "1", "--freq-grid", "1,0.1,5"], {}, None),
             (["bruteforce", "--generate", "8,8,8,1", "--budget", "2"],
              {"BALSEL_CAP": "abc"}, None),
@@ -291,7 +295,8 @@ class TestBadOptionValues:
             (["scaling", "--rank", "-3"], {}, None),
             (["scaling", "--rank", "0"], {}, None),
         ],
-        ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-unknown-key", "gl-freq-grid",
+        ids=["gl-n", "gl-kernel-width", "gl-mu-profile", "gl-unknown-key", "gl-mu-profile-nan",
+             "gl-nu-nan", "gl-beta-diff-inf", "gl-kernel-width-inf", "gl-freq-grid",
              "cap-env", "cap-env-zero", "cap-neg", "cap-zero", "select-rank-zero",
              "select-rank-neg",
              "select-rank-budget-differ", "bruteforce-budget-neg",
@@ -516,6 +521,15 @@ class TestSelectCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "side,pivot_rank,index,abs_r_diag"
         assert len(lines) == 1 + 6
+
+    def test_memory_error_exit_4(self, capsys):
+        # an n x n float64 A of n = 1e8 asks for 71.1 PiB, refused before
+        # anything is allocated
+        assert run(["select", "--generate", "100000000,2,2,0", "--rank", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: ") and "PiB" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestBruteforceCommand:

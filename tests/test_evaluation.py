@@ -117,23 +117,23 @@ class TestRandomEnsemble:
     def test_single_full_sample(self):
         rng = np.random.default_rng(82)
         w = random_psd(rng, 4)
-        stats = evaluation.random_ensemble(w, 4, 1, seed=5)
-        assert stats.samples.size == 1
+        samples = evaluation.random_ensemble(w, 4, 1, seed=5)
+        assert samples.size == 1
         full = evaluation.logdet_objective([0, 1, 2, 3], w)
-        assert stats.samples[0] == pytest.approx(full, rel=1e-10)
+        assert samples[0] == pytest.approx(full, rel=1e-10)
 
     def test_percentile_hundred_when_above_all(self):
         rng = np.random.default_rng(83)
         w = random_psd(rng, 6)
-        stats = evaluation.random_ensemble(w, 2, 200, seed=6)
-        assert evaluation.percentile_strictly_below(stats.samples, 1e9) == 100.0
+        samples = evaluation.random_ensemble(w, 2, 200, seed=6)
+        assert evaluation.percentile_strictly_below(samples, 1e9) == 100.0
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(84)
         w = random_psd(rng, 8)
         s1 = evaluation.random_ensemble(w, 3, 50, seed=7)
         s2 = evaluation.random_ensemble(w, 3, 50, seed=7)
-        assert np.array_equal(s1.samples, s2.samples)
+        assert np.array_equal(s1, s2)
 
 
 class TestMonotoneGrowth:

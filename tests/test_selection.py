@@ -119,7 +119,6 @@ class TestSelectNoncollocated:
         # ... and is excluded with it
         sel = selection.select_noncollocated(m.c, m.b, bal.psi_r, bal.phi_r)
         assert not set(sel.gamma.tolist()) & set(sel.beta.tolist())
-        assert sel.collocation_forbidden
 
     def test_infeasible_when_no_headroom(self):
         m = symmetric_system(n=3)

@@ -277,6 +277,22 @@ class TestFrequencyMemory:
         assert peak <= 16 * 2**20
 
 
+class TestH2GramianMemory:
+    # the trace formulas are vdots of p x n and n x q products: at p = q =
+    # 2000 the p x p C Wc C* alone would take 30.5 MiB
+    def test_peak_at_most_4_mib(self):
+        m = random_stable_system(60, 2000, 2000, 0)
+        w = gramian.compute_gramians(m)
+        tracemalloc.start()
+        try:
+            h2 = statespace.h2_norm_gramian(m, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert h2 == pytest.approx(np.sqrt(np.trace(m.c @ w.w_c @ m.c.T)), rel=1e-12)
+
+
 class TestImpulseSnapshots:
     def test_scalar_decay_snapshot(self):
         m = scalar_model()

@@ -18,7 +18,9 @@ runs per workload, whose per-layer metrics are stored side by side.
 The summary holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles (numpy.percentile 25/75, linear), the
 number of pairs the change won, and whether the gap in medians exceeds the
-parent's interquartile range.
+parent's interquartile range.  A run that printed no result line (it
+crashed) reports no metrics, so its pair drops out of every median; each
+workload's summary counts such runs per side under `crashed_runs`.
 """
 
 import argparse
@@ -60,7 +62,7 @@ def run_once(root, workload, seed, seconds, traced):
     try:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "error": proc.stderr[-2000:], "metrics": {}}
+        return {"correct": False, "crashed": True, "error": proc.stderr[-2000:], "metrics": {}}
 
 
 def _stats(values):
@@ -79,7 +81,10 @@ def summarize(runs, metrics):
         pairs = [p for p in by_pair.values() if len(p) == 2]
         table = {"pairs": len(pairs),
                  "failed_ops": {s: sum(p[s].get("failed", 0) for p in pairs)
-                                for s in ("parent", "change")}}
+                                for s in ("parent", "change")},
+                 "crashed_runs": {s: sum(bool(p[s].get("crashed")) for p in by_pair.values()
+                                         if s in p)
+                                  for s in ("parent", "change")}}
         for name, better in metrics.items():
             got = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
                    for p in pairs
