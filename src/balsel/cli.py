@@ -429,18 +429,19 @@ def cmd_gl_demo(args):
                 f"actuators xi={np.round(xi[bs], 3).tolist()}"
             )
 
-    if pipe is not None:
-        gains, gs, bs = models.lqg_gain_grid(
-            pipe["controller"], pipe["selection"].gamma, pipe["selection"].beta, args.freq_grid, xi
-        )
-        gain_path = os.path.join(outdir, "lqg_gain.csv")
-        with open(gain_path, "w") as fh:
-            fh.write("omega,actuator_row,sensor_col,gain_db\n")
-            for i, omega in enumerate(args.freq_grid.points):
-                for j in range(gains.shape[1]):
-                    for k in range(gains.shape[2]):
-                        fh.write(f"{_fmt(omega)},{j + 1},{k + 1},{_fmt(gains[i, j, k])}\n")
-        print(f"wrote {placement_path} and {gain_path}")
+    if pipe is None:  # every rank failed, as reported above: no result
+        return EXIT_DOMAIN
+    gains, gs, bs = models.lqg_gain_grid(
+        pipe["controller"], pipe["selection"].gamma, pipe["selection"].beta, args.freq_grid, xi
+    )
+    gain_path = os.path.join(outdir, "lqg_gain.csv")
+    with open(gain_path, "w") as fh:
+        fh.write("omega,actuator_row,sensor_col,gain_db\n")
+        for i, omega in enumerate(args.freq_grid.points):
+            for j in range(gains.shape[1]):
+                for k in range(gains.shape[2]):
+                    fh.write(f"{_fmt(omega)},{j + 1},{k + 1},{_fmt(gains[i, j, k])}\n")
+    print(f"wrote {placement_path} and {gain_path}")
     return EXIT_OK
 
 

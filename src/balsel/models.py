@@ -38,10 +38,17 @@ def random_stable_system(n, p, q, seed, time_domain=statespace.CONTINUOUS):
     Continuous A is a scaled/shifted dense normal matrix with all
     eigenvalue real parts in [-2, -0.05]; discrete A is scaled to a
     spectral radius of 0.95 * uniform(0.5, 1).  Identical seeds give
-    bit-identical models.
+    bit-identical models.  Sizes whose A, B or C numpy cannot hold raise
+    MemoryError before anything is allocated.
     """
     if min(n, p, q) < 1:
         raise DimensionError("n, p, q must all be at least 1")
+    # numpy refuses an array past its largest size with a ValueError; this is
+    # the same failure as an allocation it attempts and cannot make
+    for rows, cols in ((n, n), (n, q), (p, n)):
+        if 8 * int(rows) * int(cols) > np.iinfo(np.intp).max:
+            raise MemoryError(f"an array of shape ({rows}, {cols}) and data type float64 "
+                              "exceeds numpy's largest array size")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     if time_domain == statespace.CONTINUOUS:

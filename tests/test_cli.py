@@ -531,6 +531,30 @@ class TestSelectCommand:
         assert captured.err.startswith("cap exceeded: ") and "PiB" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--generate", "3000000000,2,2,0", "--rank", "1"],
+            ["select", "--generate", "100000000000000000000,2,2,0", "--rank", "1"],
+            ["select", "--generate", "2,2,3000000000000000000,0,discrete", "--rank", "1"],
+            ["gramians", "--generate", "3000000000,2,2,0"],
+            ["bruteforce", "--generate", "3000000000,2,2,0", "--budget", "1"],
+            ["bench-random", "--generate", "3000000000,2,2,0", "--rank", "1"],
+        ],
+        ids=["select", "select-past-intp", "select-wide-b", "gramians", "bruteforce",
+             "bench-random"],
+    )
+    def test_sizes_numpy_refuses_exit_4(self, tmp_path, capsys, argv):
+        # numpy refuses these shapes with a ValueError; the sizes are
+        # checked before anything is allocated
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: an array of shape (")
+        assert captured.err.endswith("exceeds numpy's largest array size\n")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestBruteforceCommand:
     def test_deterministic_csv_and_summary(self, tmp_path, capsys):
@@ -702,11 +726,27 @@ class TestGLDemoCommand:
             raise SynthesisError("no stabilizing solution")
 
         monkeypatch.setattr(models, "lqg_synthesize", failing)
-        assert run(["gl-demo", "--rank", "3", "--out", str(tmp_path)]) == 0
+        # no rank has a result: a domain error
+        assert run(["gl-demo", "--rank", "3", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"r={r}: synthesis failed: no stabilizing solution" for r in (1, 2, 3)]
         assert len(calls) == 1
         assert not (tmp_path / "lqg_gain.csv").exists()
+
+    def test_unstable_plant_exit_2(self, tmp_path, capsys):
+        # a kernel this wide makes the plant unstable, so every rank fails
+        cfgfile = tmp_path / "gl.cfg"
+        cfgfile.write_text("n = 28\nkernel_width = 1e300\n")
+        out = tmp_path / "gl"
+        assert run(["gl-demo", "--gl-params", str(cfgfile), "--rank", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        for r, line in enumerate(err, 1):
+            assert line.startswith(f"r={r}: synthesis failed: model is unstable")
+        assert (out / "placement.csv").read_text().count("\n") == 1  # the header
+        assert not (out / "lqg_gain.csv").exists()
 
 
 class TestScalingCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from balsel import gramian, statespace
+from balsel import gramian, matkernel, statespace
 from balsel.errors import (
     DimensionError,
     HorizonError,
@@ -164,6 +164,101 @@ class TestAdjointFlip:
             gramian.solve_stein(a, np.eye(2))
         m = StateSpaceModel(a, np.eye(2), np.eye(2), statespace.DISCRETE)
         with pytest.raises(IllPosedError, match=r"lambda_i \* conj\(lambda_j\) ~ 1"):
+            gramian.compute_gramians(m)
+
+
+def _normal_a(n, field, seed):
+    """A = Q D Q* with unitary Q and spectral radius 0.9: symmetric if real."""
+    rng = np.random.default_rng(seed)
+    if field == "real":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(-0.9, 0.9, n)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        lam = 0.9 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    lam[0] = 0.9
+    return (q * lam) @ q.conj().T
+
+
+class TestSteinDoubling:
+    # squared Smith doubling against the Schur route it stands in front of
+    @pytest.mark.parametrize("kind", ["normal", "random", "non-normal"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_schur_route(self, kind, field):
+        n, p, q = 40, 3, 5
+        rng = np.random.default_rng(50)
+        if kind == "normal":
+            a = _normal_a(n, field, seed=51)
+        elif kind == "random":
+            a = random_stable_system(n, 1, 1, seed=52, time_domain=statespace.DISCRETE).a
+            if field == "complex":
+                a = a * np.exp(0.3j)
+        else:
+            a = _non_normal_a(n, field, statespace.DISCRETE, seed=53)
+        b = rng.standard_normal((n, q))
+        c = rng.standard_normal((p, n))
+        if field == "complex":
+            b = b + 1j * rng.standard_normal((n, q))
+        m = StateSpaceModel(a, b, c, statespace.DISCRETE)
+        bb, cc = m.b @ m.b.conj().T, m.c.conj().T @ m.c
+        assert gramian._stein_doubling(m.a, bb, cc) is not None
+        g = gramian.compute_gramians(m)
+        form = matkernel.schur(m.a)
+        refs = (gramian._solve_from_schur(form, bb, True),
+                gramian._solve_from_schur(form.adjoint(), cc, True))
+        for w, ref in zip((g.w_c, g.w_o), refs):
+            assert w.dtype == ref.dtype
+            assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert max(g.residual_c, g.residual_o) <= 1e-13
+        w = gramian.solve_stein(m.a, bb)
+        assert np.linalg.norm(w - refs[0]) <= 1e-12 * np.linalg.norm(refs[0])
+
+    def test_zero_dynamics_return_the_right_hand_side(self):
+        m = np.array([[2.0, 0.3], [0.3, 1.0]])
+        np.testing.assert_array_equal(gramian.solve_stein(np.zeros((2, 2)), m), m)
+        w_c, w_o = gramian._stein_doubling(np.zeros((2, 2)), m, 2 * m)
+        np.testing.assert_array_equal(w_c, m)
+        np.testing.assert_array_equal(w_o, 2 * m)
+
+    def test_field_is_the_schur_routes(self):
+        # complex arrays with no imaginary part give a real W, as on the
+        # Schur route; an imaginary part in A or M gives a complex one
+        a = np.array([[0.5, 0.2], [0.0, -0.3]])
+        m = np.eye(2)
+        assert gramian.solve_stein(a.astype(complex), m.astype(complex)).dtype == np.float64
+        assert gramian.solve_stein(a + 0.1j, m).dtype == np.complex128
+        assert gramian.solve_stein(a, m + [[0, 1j], [-1j, 0]]).dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([1.0 - 1e-6, 0.5]), np.array([[0.5, 1e4], [0.0, 0.5]])],
+        ids=["step-budget", "growth-limit"],
+    )
+    def test_stable_fallback_solves_from_the_schur_form(self, a):
+        # the radius needs 2^25 terms, past the budget; the norm is past
+        # the growth limit at once: both still get the Schur route's answer
+        assert gramian._stein_doubling(a, np.eye(2)) is None
+        w = gramian.solve_stein(a, np.eye(2))
+        ref = gramian._solve_from_schur(matkernel.schur(a), np.eye(2), True)
+        np.testing.assert_array_equal(w, ref)
+        assert gramian.stein_residual(a, w, np.eye(2)) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, error, match",
+        [
+            (np.diag([1.0 - 1e-13, 0.5]), IllPosedError, r"^eigenvalue product lambda_i \* "
+             r"conj\(lambda_j\) ~ 1$"),
+            (np.diag([1.5, 0.5]), UnstableSystemError, r"^model is unstable: spectral radius "
+             r"1\.5 >= 1 \(the Stein equation needs a Schur-stable A\)$"),
+        ],
+        ids=["ill-posed", "unstable"],
+    )
+    def test_fallback_raises_the_schur_route_errors(self, a, error, match):
+        with pytest.raises(error, match=match):
+            gramian.solve_stein(a, np.eye(2))
+        m = StateSpaceModel(a, np.eye(2), np.eye(2), statespace.DISCRETE)
+        with pytest.raises(error, match=match):
             gramian.compute_gramians(m)
 
 

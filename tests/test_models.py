@@ -344,6 +344,21 @@ class TestSchurCount:
         gramian.compute_gramians(m)
         assert schur_calls == [6]
 
+    def test_converging_discrete_gramians_make_no_schur_form(self, schur_calls):
+        # squared Smith doubling sums both Stein equations with GEMMs alone
+        m = models.random_stable_system(6, 2, 3, seed=5, time_domain="discrete")
+        gramian.compute_gramians(m)
+        assert schur_calls == []
+
+    def test_discrete_fallback_factors_a_once(self, schur_calls):
+        # a radius of 1 - 1e-6 needs more doubling steps than the budget,
+        # so both gramians come from one Schur form
+        a = np.diag([1.0 - 1e-6, 0.5, -0.2])
+        m = StateSpaceModel(a, np.ones((3, 2)), np.ones((1, 3)), "discrete")
+        g = gramian.compute_gramians(m)
+        assert schur_calls == [3]
+        assert max(g.residual_c, g.residual_o) <= 1e-9
+
     def test_closed_loop_h2_stable_loop(self, schur_calls):
         m = models.random_stable_system(5, 5, 5, seed=91)
         ctl = models.lqg_synthesize(m.a, m.b, m.c)
