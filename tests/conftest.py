@@ -23,6 +23,19 @@ def pivot_oracle(v, n_pivots, forbidden=()):
     return chosen
 
 
+def overflowing_a(domain, scale, n=60):
+    """A stable upper-triangular A whose strict upper part, N(0,1) times
+    `scale`, makes its gramians overflow double precision: at 1e3 a
+    continuous W reaches 1e304 and its residual inf, at 1e6 W is nan.  The
+    rng is returned for the caller's B and C."""
+    rng = np.random.default_rng(0)
+    if domain == "continuous":
+        lam = -0.5 - rng.uniform(0.0, 1.0, n)
+    else:
+        lam = rng.uniform(-0.9, 0.9, n)
+    return np.diag(lam) + scale * np.triu(rng.standard_normal((n, n)), 1), rng
+
+
 @pytest.fixture
 def schur_calls(monkeypatch):
     """Record the size of every Schur decomposition made via matkernel."""

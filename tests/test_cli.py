@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import overflowing_a
 
 from balsel import cli, evaluation, gramian, matkernel, models, selection, statespace
 from balsel.errors import FormatError, SynthesisError
@@ -213,6 +214,30 @@ class TestModelInputErrors:
         assert run([command, "--model", str(path)] + extra) == 3
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "non-finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("gramians", []), ("select", ["--rank", "2"])],
+        ids=["gramians", "select"],
+    )
+    def test_overflowing_gramians_exit_2(self, tmp_path, capsys, command, extra, domain, scale):
+        a, rng = overflowing_a(domain, scale)
+        n = len(a)
+        m = statespace.StateSpaceModel(a, rng.standard_normal((n, 3)),
+                                       rng.standard_normal((2, n)), domain)
+        path = tmp_path / "m.txt"
+        with open(path, "w") as fh:
+            cli.write_model(fh, m)
+        out = tmp_path / "out"
+        assert run([command, "--model", str(path), "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the controllability gramian is not finite")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestUndecodableInput:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import overflowing_a
 
-from balsel import gramian, matkernel, statespace
+from balsel import gramian, matkernel, models, statespace
 from balsel.errors import (
     DimensionError,
     HorizonError,
     IllPosedError,
+    NumericError,
     SynthesisError,
     UnstableSystemError,
 )
@@ -262,6 +264,18 @@ class TestSteinDoubling:
             gramian.compute_gramians(m)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+def test_overflowing_solution_raises_numeric_error(domain):
+    # at scale 1e6 the solution itself is nan; `compute_gramians` also
+    # catches a finite solution whose residual overflows (see test_cli)
+    a, _ = overflowing_a(domain, 1e6)
+    solve = gramian.solve_stein if domain == statespace.DISCRETE else (
+        gramian.solve_lyapunov_continuous)
+    with pytest.raises(NumericError, match="^the solution is not finite"):
+        solve(a, np.eye(len(a)))
+
+
 def _kron_tri_solve(a, b, c, discrete):
     """Dense solve of vec(X) for A X + X B* = C or A X B* - X = C."""
     m, n = c.shape
@@ -499,6 +513,10 @@ class TestCARE:
         m = random_stable_system(10, 3, 3, seed=40)
         x = gramian.solve_care(m.a, m.b, np.eye(10), np.eye(3))
         assert x.dtype == np.float64
+        assert gramian._care_doubling(m.a, m.b @ m.b.T, np.eye(10)).dtype == np.float64
+        # complex arrays keep the complex field, as on the Schur route
+        x = gramian.solve_care(m.a, m.b, np.eye(10, dtype=complex), np.eye(3, dtype=complex))
+        assert x.dtype == np.complex128
 
     def test_singular_input_weight_raises_synthesis_error(self):
         with pytest.raises(SynthesisError, match="singular"):
@@ -513,5 +531,74 @@ class TestCARE:
             gramian.solve_care(*args)
 
     def test_synthesis_error_when_unstabilizable(self):
-        with pytest.raises(SynthesisError):
+        # the doubling shift is 1 here, so A - gamma I is singular and the
+        # Schur route raises its own message
+        assert gramian._care_doubling(np.eye(1), np.zeros((1, 1)), np.eye(1)) is None
+        with pytest.raises(SynthesisError, match="^ordered-Schur basis is singular$"):
             gramian.solve_care([[1.0]], [[0.0]], [[1.0]], [[1.0]])
+
+
+class TestCareDoubling:
+    # structure-preserving doubling against the ordered-Schur route it
+    # stands in front of
+    @pytest.fixture(scope="class")
+    def problems(self):
+        """A2c-style regulators, real and complex, and the Ginzburg-Landau
+        control and filter equations, as (A, B, Q, R)."""
+        m = random_stable_system(40, 3, 3, seed=30_001)
+        b = m.b + 1j * np.random.default_rng(7).standard_normal(m.b.shape)
+        a, b2, c2 = models.ginzburg_landau_plant()
+        n = len(a)
+        return {
+            "a2c-real": (m.a, m.b, np.eye(40), np.eye(3)),
+            "a2c-complex": (m.a * np.exp(0.3j), b, np.eye(40), np.eye(3)),
+            "gl-control": (a, b2, np.eye(n), np.eye(n)),
+            "gl-filter": (a.conj().T, c2.conj().T, np.eye(n), 4e-8 * np.eye(n)),
+        }
+
+    @pytest.mark.parametrize("name", ["a2c-real", "a2c-complex", "gl-control", "gl-filter"])
+    def test_matches_schur_route(self, problems, name):
+        a, b, q, r = problems[name]
+        g = b @ np.linalg.solve(r, b.conj().T)
+        x = gramian._care_doubling(a, g, q)
+        ref = gramian._care_schur(a, g, q)
+        assert x is not None and x.dtype == ref.dtype
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert gramian.care_residual(a, b, q, r, gramian.solve_care(a, b, q, r)) <= 1e-10
+
+    def test_small_measurement_noise_filter_converges(self):
+        # V = 4e-8 I puts ||G|| some 1e8 above ||Q||; the shift rule's
+        # geometric mean converges in 13 updates where ||A||_F / sqrt(n)
+        # alone runs out of budget
+        m = random_stable_system(40, 5, 5, seed=0)
+        a, b, q, r = m.a.T, m.c.T, np.eye(40), 4e-8 * np.eye(5)
+        assert gramian._care_doubling(a, b @ np.linalg.solve(r, b.T), q) is not None
+        assert gramian.care_residual(a, b, q, r, gramian.solve_care(a, b, q, r)) <= 1e-10
+
+    def test_lqg_synthesis_computes_no_hamiltonian_schur_form(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _inner=sla.schur, **kwargs):
+            calls.append(len(args[0]))
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting)
+        models.lqg_synthesize(*models.ginzburg_landau_plant())
+        assert calls == []
+
+    def test_exhausted_budget_is_the_schur_route(self, monkeypatch, problems):
+        a, b, q, r = problems["a2c-complex"]
+        g = b @ np.linalg.solve(r, b.conj().T)
+        monkeypatch.setattr(gramian, "_DOUBLING_STEPS", 2)
+        assert gramian._care_doubling(a, g, q) is None
+        ref = gramian._hermitize(gramian._care_schur(a, g, q))
+        np.testing.assert_array_equal(gramian.solve_care(a, b, q, r), ref)
+
+    def test_slow_convergence_falls_back(self):
+        # closed-loop poles 1e-6 from the imaginary axis: doubling would need
+        # some 2^20 terms, so the Schur route solves it
+        a = np.array([[-1e-6, 1.0], [-1.0, -1e-6]])
+        q = 1e-12 * np.eye(2)
+        assert gramian._care_doubling(a, np.eye(2), q) is None
+        x = gramian.solve_care(a, np.eye(2), q, np.eye(2))
+        np.testing.assert_array_equal(x, gramian._hermitize(gramian._care_schur(a, np.eye(2), q)))

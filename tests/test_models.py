@@ -388,3 +388,19 @@ class TestSchurCount:
         # checks take eigenvalues only, without Schur vectors
         assert schur_calls == [28, 56]
         assert eigvals_calls == [28, 28]
+
+    def test_default_gl_pipeline_gramians_meet_1e_9(self, monkeypatch, schur_calls):
+        # the closed loop's W_c (2.5e-9 unrefined) takes one refinement step
+        # from the Schur form in hand, which adds no Schur call
+        residuals = []
+
+        def checked(m, _inner=gramian.compute_gramians):
+            g = _inner(m)
+            residuals.extend((g.residual_c, g.residual_o))
+            return g
+
+        monkeypatch.setattr(gramian, "compute_gramians", checked)
+        models.gl_pipeline(r=5)
+        assert schur_calls == [100, 200]
+        assert len(residuals) == 4
+        assert max(residuals) <= 1e-9
