@@ -7,10 +7,10 @@ name carries a hash of the source, so an edited source builds a new file
 and an unchanged one is reused across processes.  The compiler writes a
 temporary name that is then renamed into place, so concurrent builds
 never load a half-written file.  A build then removes, as far as it can,
-the cached libraries of the same source's other hashes and the temporary
-files of builds whose process has ended.  When the package directory
-cannot be written, the library is built in a temporary directory for this
-process.
+the cached libraries of the same source's other hashes, those of sources
+the package no longer has, and the temporary files of builds whose process
+has ended.  When the package directory cannot be written, the library is
+built in a temporary directory for this process.
 A missing or failing compiler, or a library that does not load, raises
 `BuildError`.
 
@@ -56,10 +56,17 @@ def _alive(pid):
 
 
 def _prune(cache_dir, stem, target):
-    """Remove `stem`'s libraries other than `target` from `cache_dir`, and
-    the partial files of builds whose process is gone.  Best effort: a file
-    that cannot be removed stays."""
+    """Remove `stem`'s libraries other than `target` from `cache_dir`, the
+    partial files of builds whose process is gone and, from the package's
+    own cache, the libraries of sources the package no longer has (such as
+    `_scan-<hash>.so` of the scanner's old name).  Best effort: a file that
+    cannot be removed stays."""
     stale = [p for p in glob.glob(os.path.join(cache_dir, f"{stem}-*.so")) if p != target]
+    if cache_dir == _CACHE:
+        for lib in glob.glob(os.path.join(cache_dir, "*-" + "?" * 16 + ".so")):
+            source = os.path.basename(lib).rsplit("-", 1)[0] + ".c"
+            if not os.path.exists(os.path.join(_HERE, source)):
+                stale.append(lib)
     for partial in glob.glob(os.path.join(cache_dir, f"{stem}-*.so.*.tmp")):
         pid = partial.rsplit(".", 2)[-2]
         if not (pid.isdigit() and _alive(int(pid))):

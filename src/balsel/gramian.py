@@ -1,12 +1,14 @@
 """Exact and empirical gramians; Lyapunov, Stein and Riccati solvers.
 
-The Stein equation A W A* - W + M = 0 is first summed by squared Smith
-doubling, W = sum_j A^j M A^j*, with GEMMs alone (`_stein_doubling`); it
-stops once the neglected tail is below roundoff, which also proves A
-Schur-stable, and hands a model on which it does not converge within a fixed
-budget to the Schur route, which raises the stability and ill-posedness
-errors.  `compute_gramians` sums both Stein equations of a discrete model
-together, so the two share the squares of A.
+One doubling loop, `_doubling`, serves the Stein and the Riccati equation
+with numpy GEMMs and solves alone.  It owns the step budget, the stop once
+the doubled matrix E_k is below roundoff, the growth limit and the
+hand-over to a Schur route.  Uncoupled, from E_0 = A, it is squared Smith
+doubling: it sums W = sum_j A^j M A^j* of A W A* - W + M = 0
+(`_stein_doubling`), both gramians of a discrete model at once on the same
+squares of A, and its convergence proves A Schur-stable.  Coupled, from a
+Cayley transform, it is the structure-preserving doubling algorithm for the
+Riccati equation (`_care_doubling`).
 The Schur route serves the continuous Lyapunov equation A W + W A* + M = 0
 and that Stein fallback with one solver, `_solve_from_schur`; a `discrete`
 flag picks the stability and ill-posedness tests on the Schur diagonal and
@@ -21,13 +23,11 @@ into the complex one, U = V Z, and real data get a real solution.
 On that route `compute_gramians` factors A once per gramian pair, reads
 the Schur form of A* off it by a flip, and refines a gramian whose residual
 exceeds 1e-9 by one more solve from the same form (see there).
-The Riccati solver is the continuous-time counterpart of the Stein doubling:
-the structure-preserving doubling algorithm (`_care_doubling`), n x n LU
-solves and GEMMs only, under the same step budget.  A problem on which it
-does not converge goes unchanged to Laub's ordered-Schur method on a scaled
-Hamiltonian matrix (`_care_schur`), which raises the synthesis errors.
-Either answer takes one Newton refinement step when its residual still
-warrants it.
+A Stein problem the doubling hands over goes to that route unchanged, which
+raises the stability and ill-posedness errors; a Riccati one goes to Laub's
+ordered-Schur method on a scaled Hamiltonian matrix (`_care_schur`), which
+raises the synthesis errors.  Either Riccati answer takes one Newton
+refinement step when its residual still warrants it.
 """
 
 import warnings
@@ -63,21 +63,8 @@ __all__ = [
 # Largest block the recursive triangular solver hands to a leaf solver.
 _LEAF = 128
 
-# `_stein_doubling` hands over to the Schur route after this many updates.
-# One update of both gramians costs 5 n x n GEMMs; the Schur route (the
-# Schur form and both Stein solves) measured as much as 43 updates at
-# n = 30, 25 at n = 400 and 16 at n = 800 (2 CPUs, OpenBLAS), so a model
-# that does not converge costs at most about twice the Schur route.  16
-# updates sum 65536 terms: enough for a normal A of spectral radius up to
-# about 0.9997; the random discrete models (radius 0.475-0.95) take 5-9.
+# The update budget and the growth limit of `_doubling` (see there).
 _DOUBLING_STEPS = 16
-
-# ... and as soon as ||A_k||_F exceeds this.  An update adds a rounding
-# error of about eps ||A_k||^2 ||W||, which this keeps below 1e-9 relative
-# (the residual bound the solvers are held to).  The converging models
-# measured peak at ||A_k||_F = 18 (the n = 400 random discrete models) and
-# 30 (a non-normal n = 1000 one).  An unstable A passes it early, its norm
-# squaring at each update: diag(1.5, 0.5) after 5.
 _DOUBLING_GROWTH = 1e3
 
 # Keyed by `discrete`: the eigenvalue coincidence that makes the equation singular.
@@ -215,40 +202,64 @@ def _own_field(x):
     return x.real if np.iscomplexobj(x) and not np.any(x.imag) else x
 
 
+def _doubling(e, g, h=None, coupled=False):
+    """(G_k, H_k) once ||E_k||_F^2 <= eps, doubled from E_0 = e, G_0 = g and
+    H_0 = h (H_k is None if h is); None if it does not get there.
+
+    An update takes [T_1, T_2] = (I - G_k H_k)^{-1} [E_k, G_k] if `coupled`
+    (the SDA of Chu, Fan & Lin, Linear Algebra Appl. 396 (2005)), else
+    [E_k, G_k] (squared Smith doubling, SIAM J. Appl. Math. 16 (1968): G_k
+    and H_k sum 2^k terms of sum_j E^j G E^j* and sum_j E^j* H E^j, and the
+    tail E_k G_k E_k* left at the stop is below eps relative), then sets
+    G += E T_2 E*, H += T_1* H E and E <- E T_1: 5 GEMMs, and an LU if
+    coupled.  It returns None after _DOUBLING_STEPS updates, once ||E_k||_F
+    exceeds _DOUBLING_GROWTH, on a singular solve or a non-finite result.
+    The budget, 16 updates or 65536 terms, covers a normal E of spectral
+    radius up to 0.9997; the random discrete models (radius 0.475-0.95) take
+    5-9, each Ginzburg-Landau Riccati equation 9, random n = 40 filters with
+    V = 4e-8 I 13.  A spent budget costs at most about twice the Schur route,
+    which took as long as 43 Stein-pair updates at n = 30, 25 at n = 400 and
+    16 at n = 800, and at n = 100 0.044 s against 0.032 s for 16 complex SDA
+    updates (2 CPUs, OpenBLAS).  The growth limit keeps an update's rounding
+    error, about eps ||E_k||^2 ||G||, below 1e-9 relative; converging models
+    peak at ||E_k||_F = 18-30, and diag(1.5, 0.5) passes it after 5 updates.
+    Only numpy runs, so real data give real sums: a scipy LU here made one
+    GL solve take 0.05-0.19 s against 0.021 s (two OpenBLAS pools, see
+    `matkernel`).
+    """
+    # a non-finite iterate ends the iteration below, without warnings
+    with np.errstate(all="ignore"):
+        for step in range(_DOUBLING_STEPS + 1):
+            size = np.linalg.norm(e)
+            if size * size <= np.finfo(np.float64).eps:
+                finite = all(x is None or np.isfinite(x).all() for x in (g, h))
+                return (g, h) if finite else None
+            if step == _DOUBLING_STEPS or not size <= _DOUBLING_GROWTH:
+                return None
+            t1, t2 = e, g
+            if coupled:
+                try:
+                    t = np.linalg.solve(np.eye(len(e)) - g @ h, np.hstack([e, g]))
+                except np.linalg.LinAlgError:
+                    return None
+                t1, t2 = np.hsplit(t, 2)
+            if h is not None:
+                h = h + t1.conj().T @ h @ e
+            g = g + e @ t2 @ e.conj().T
+            e = e @ t1
+
+
 def _stein_doubling(a, m_c, m_o=None):
     """(W_c, W_o) with A W_c A* - W_c + M_c = 0 and, if `m_o` is given,
-    A* W_o A - W_o + M_o = 0 (else W_o is None), by squared Smith doubling;
-    None if it does not converge.
-
-    With A_0 = A, each update W_c <- W_c + A_k W_c A_k*,
-    W_o <- W_o + A_k* W_o A_k and A_{k+1} = A_k^2 doubles the number of
-    summed terms of W = sum_j A^j M A^j* (Smith, SIAM J. Appl. Math. 16
-    (1968); Penzl, SIAM J. Sci. Comput. 21 (2000)).  The two sums share the
-    squares, so an update costs 5 GEMMs.  The neglected tail is exactly
-    A_k W A_k*, so doubling stops once ||A_k||_F^2 <= eps, a relative error
-    of at most eps.  That bound also proves A Schur-stable:
-    rho(A)^(2^k) <= ||A_k||_F <= sqrt(eps) at k <= _DOUBLING_STEPS gives
-    rho(A) < 1 - 2.7e-4 and |1 - lambda_i conj(lambda_j)| > 5e-4, so neither
-    the stability nor the ill-posedness test of the Schur route could fail.
-    After _DOUBLING_STEPS updates, or once ||A_k||_F exceeds
-    _DOUBLING_GROWTH (or is not finite), it returns None, and the caller
-    solves from the Schur form.  A and M with no imaginary part give a real W.
+    A* W_o A - W_o + M_o = 0 (else W_o is None), by squared Smith doubling
+    (`_doubling` from E_0 = A); None if it does not converge.  Convergence
+    proves A Schur-stable: rho(A)^(2^k) <= sqrt(eps) at k <= 16 gives
+    rho(A) < 1 - 2.7e-4 and |1 - lambda_i conj(lambda_j)| > 5e-4, so no test
+    of the Schur route could fail.  A and M with no imaginary part give a
+    real W.
     """
-    eps = np.finfo(np.float64).eps
-    a_k = _own_field(a)
-    w_c = _own_field(m_c)
-    w_o = None if m_o is None else _own_field(m_o)
-    for step in range(_DOUBLING_STEPS + 1):
-        size = np.linalg.norm(a_k)
-        if size * size <= eps:
-            return _hermitize(w_c), None if w_o is None else _hermitize(w_o)
-        if step == _DOUBLING_STEPS or not size <= _DOUBLING_GROWTH:
-            return None
-        a_h = a_k.conj().T
-        w_c = w_c + a_k @ w_c @ a_h
-        if w_o is not None:
-            w_o = w_o + a_h @ w_o @ a_k
-        a_k = a_k @ a_k
+    pair = _doubling(_own_field(a), _own_field(m_c), None if m_o is None else _own_field(m_o))
+    return None if pair is None else tuple(None if w is None else _hermitize(w) for w in pair)
 
 
 def _solve(a, m, discrete):
@@ -257,21 +268,25 @@ def _solve(a, m, discrete):
     n = a.shape[0]
     if a.shape[1] != n or m.shape != (n, n):
         raise DimensionError("coefficient and right-hand side must be square, same size")
+    if not (np.isfinite(a).all() and np.isfinite(m).all()):
+        raise DimensionError("coefficient or right-hand side has non-finite (nan or inf) entries")
     pair = _stein_doubling(a, m) if discrete else None
     if pair is not None:
         return pair[0]
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
         w = _solve_from_schur(matkernel.schur(a), m, discrete)
-    if not np.isfinite(w).all():
-        raise NumericError("the solution is not finite: A is too far from normal "
-                           "for double precision")
+        err = _relative(_equation(a, w, m, discrete), m)
+    if not (np.isfinite(err) and np.isfinite(w).all()):
+        raise NumericError(f"the solution is not finite (relative residual {err:.3g}): A is "
+                           "too far from normal for double precision")
     return w
 
 
 def solve_lyapunov_continuous(a, m):
     """Solve A W + W A* + M = 0 for Hurwitz A and Hermitian M.
 
-    A solution that overflows double precision raises NumericError.
+    Non-finite A or M raises DimensionError; a solution that overflows
+    double precision, or whose residual does, raises NumericError.
     """
     return _solve(a, m, discrete=False)
 
@@ -282,7 +297,8 @@ def solve_stein(a, m):
     Squared Smith doubling first (`_stein_doubling`); an A on which it does
     not converge goes to the Schur form, which raises UnstableSystemError or
     IllPosedError as its diagonal warrants, and NumericError if the
-    solution overflows double precision.
+    solution or its residual overflows double precision.  Non-finite A or M
+    raises DimensionError.
     """
     return _solve(a, m, discrete=True)
 
@@ -412,29 +428,15 @@ _REFINE_TOL = 1e-8
 
 
 def _care_doubling(a, g, q):
-    """Stabilizing solution of A* X + X A - X G X + Q = 0 by the
-    structure-preserving doubling algorithm (Chu, Fan & Lin, Linear Algebra
-    Appl. 396 (2005)); None if it does not converge.
+    """Stabilizing solution of A* X + X A - X G X + Q = 0, the H_k of the
+    coupled `_doubling`; None if it does not converge.
 
     A Cayley transform with shift gamma > 0, A_g = A - gamma I and
     W = A_g* + Q A_g^{-1} G, gives E_0 = I + 2 gamma W^{-*},
-    G_0 = -2 gamma (A_g^{-1} G W^{-1})* and H_0 = 2 gamma W^{-1} Q A_g^{-1}.
-    Each update solves [T_1, T_2] = (I - G_k H_k)^{-1} [E_k, G_k] and sets
-    G <- G + E T_2 E*, H <- H + T_1* H E and E <- E T_1: one LU and 5 GEMMs,
-    since G_k and H_k stay Hermitian and the general F_k is E_k*.  E_k
-    converges to zero quadratically and H_k to X, so doubling stops once
-    ||E_k||_F^2 <= eps.  The shift is the geometric mean of ||A||_F / sqrt(n)
-    and sqrt(||G||_F ||Q||_F) / n (at least the former).  This rule takes 9
-    updates on each Ginzburg-Landau equation and 13 on random n = 40 filters
-    with V = 4e-8 I, none of which converged within the budget at the first
-    shift alone.  `_stein_doubling`'s budget applies: after _DOUBLING_STEPS
-    updates, once ||E_k||_F exceeds _DOUBLING_GROWTH, or on a singular or
-    non-finite solve, it returns None and the caller takes the ordered-Schur
-    route.  At n = 100, complex, 16 updates took 0.032 s and that route
-    0.044 s (2 CPUs, OpenBLAS).  Only numpy solves and GEMMs run, so real
-    data give a real X.  scipy's LU here would interleave its OpenBLAS pool
-    with numpy's (see `matkernel`): one GL solve so built took 0.05-0.19 s
-    against 0.021 s.
+    G_0 = -2 gamma (A_g^{-1} G W^{-1})* and H_0 = 2 gamma W^{-1} Q A_g^{-1},
+    or None if A_g or W is singular.  gamma is the geometric mean of
+    ||A||_F / sqrt(n) and sqrt(||G||_F ||Q||_F) / n (at least the former),
+    as the former alone runs out of budget on filters with V = 4e-8 I.
     """
     n = len(a)
     eye = np.eye(n)
@@ -442,31 +444,17 @@ def _care_doubling(a, g, q):
     hi = max(lo, np.sqrt(np.linalg.norm(g) * np.linalg.norm(q)) / n)
     gamma = np.sqrt(lo * hi)
     a_g = a - gamma * eye
-    eps = np.finfo(np.float64).eps
-    # a non-finite iterate ends the iteration below, without warnings
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite start ends the doubling
         try:
             aig = np.linalg.solve(a_g, g)  # A_g^{-1} G
             qai = np.linalg.solve(a_g.conj().T, q.conj().T).conj().T  # Q A_g^{-1}
             # W^{-*} [I, (A_g^{-1} G)*]
             y = np.linalg.solve((a_g.conj().T + q @ aig).conj().T, np.hstack([eye, aig.conj().T]))
-            e = eye + 2.0 * gamma * y[:, :n]
-            g_k = -2.0 * gamma * y[:, n:]
-            h_k = 2.0 * gamma * y[:, :n].conj().T @ qai
-            for step in range(_DOUBLING_STEPS + 1):
-                size = np.linalg.norm(e)
-                if size * size <= eps:
-                    return h_k if np.isfinite(h_k).all() else None
-                if step == _DOUBLING_STEPS or not size <= _DOUBLING_GROWTH:
-                    return None
-                t = np.linalg.solve(eye - g_k @ h_k, np.hstack([e, g_k]))
-                he = h_k @ e
-                et = e @ t
-                g_k = g_k + et[:, n:] @ e.conj().T
-                h_k = h_k + t[:, :n].conj().T @ he
-                e = et[:, :n]
         except np.linalg.LinAlgError:
             return None
+        gh = _doubling(eye + 2.0 * gamma * y[:, :n], -2.0 * gamma * y[:, n:],
+                       2.0 * gamma * y[:, :n].conj().T @ qai, coupled=True)
+    return None if gh is None else gh[1]
 
 
 def _care_schur(a, g, q):
@@ -512,14 +500,16 @@ def solve_care(a, b, q_weight, r_weight):
     R raises SynthesisError.  If the residual exceeds `_REFINE_TOL`, one
     Newton step (a Lyapunov solve on the closed loop) refines X, and A - G X
     must then have its eigenvalues in the open left half plane
-    (SynthesisError otherwise).
+    (SynthesisError otherwise).  A non-square A, a B, Q or R whose size does
+    not match it or B's columns, or a non-finite entry raises DimensionError.
     """
     a = matkernel.as_matrix(a)
     b = matkernel.as_matrix(b)
     q_weight = matkernel.as_matrix(q_weight)
     r_weight = matkernel.as_matrix(r_weight)
-    n = a.shape[0]
-    if b.shape[0] != n or q_weight.shape != (n, n):
+    n, q = a.shape[0], b.shape[1]
+    if (a.shape != (n, n) or b.shape[0] != n or q_weight.shape != (n, n)
+            or r_weight.shape != (q, q)):
         raise DimensionError("incompatible Riccati dimensions")
     if not all(np.isfinite(x).all() for x in (a, b, q_weight, r_weight)):
         raise DimensionError("Riccati data has non-finite (nan or inf) entries")
@@ -540,7 +530,7 @@ def solve_care(a, b, q_weight, r_weight):
         try:
             delta = solve_lyapunov_continuous(a_cl.conj().T, res)
             x = _hermitize(x + delta)
-        except (UnstableSystemError, IllPosedError):
+        except (UnstableSystemError, IllPosedError, NumericError):
             pass  # keep the unrefined iterate
 
     a_cl = a - b @ np.linalg.solve(r_weight, b.conj().T @ x)

@@ -265,15 +265,57 @@ class TestSteinDoubling:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
-def test_overflowing_solution_raises_numeric_error(domain):
-    # at scale 1e6 the solution itself is nan; `compute_gramians` also
-    # catches a finite solution whose residual overflows (see test_cli)
-    a, _ = overflowing_a(domain, 1e6)
+@pytest.mark.parametrize(
+    "domain, scale",
+    [(statespace.CONTINUOUS, 1e6), (statespace.DISCRETE, 1e6), (statespace.CONTINUOUS, 1e3)],
+    ids=["continuous", "discrete", "continuous-residual"],
+)
+def test_overflowing_solution_raises_numeric_error(domain, scale):
+    # at scale 1e6 the solution itself is nan; at 1e3 a continuous W is
+    # finite (max |W| near 1e304) but its residual overflows
+    a, _ = overflowing_a(domain, scale)
     solve = gramian.solve_stein if domain == statespace.DISCRETE else (
         gramian.solve_lyapunov_continuous)
     with pytest.raises(NumericError, match="^the solution is not finite"):
         solve(a, np.eye(len(a)))
+
+
+@pytest.mark.parametrize("solve", [gramian.solve_stein, gramian.solve_lyapunov_continuous],
+                         ids=["stein", "continuous"])
+@pytest.mark.parametrize("which", ["a", "m"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_dimension_error(solve, which, bad):
+    args = {"a": np.diag([-0.5, -0.25]), "m": np.eye(2)}
+    args[which][1, 0] = bad
+    with pytest.raises(DimensionError, match=r"non-finite \(nan or inf\) entries$"):
+        solve(**args)
+
+
+class TestDoublingBudget:
+    # each budget at its exact update count: one update fewer hands over,
+    # so the shared stopping test cannot drift by one
+    @staticmethod
+    def _pins(monkeypatch, k, doubling):
+        monkeypatch.setattr(gramian, "_DOUBLING_STEPS", k - 1)
+        assert doubling() is None
+        monkeypatch.setattr(gramian, "_DOUBLING_STEPS", k)
+        assert doubling() is not None
+
+    @pytest.mark.parametrize("equation", ["control", "filter"])
+    def test_ginzburg_landau_riccati_takes_9_updates(self, monkeypatch, equation):
+        a, b, c = models.ginzburg_landau_plant()
+        n = len(a)
+        if equation == "control":
+            g = b @ b.conj().T
+        else:
+            a, g = a.conj().T, c.conj().T @ np.linalg.solve(4e-8 * np.eye(n), c)
+        self._pins(monkeypatch, 9, lambda: gramian._care_doubling(a, g, np.eye(n)))
+
+    @pytest.mark.parametrize("seed, k", [(10, 5), (11, 9)])
+    def test_stein_pair_of_a_400_state_model(self, monkeypatch, seed, k):
+        m = random_stable_system(400, 400, 400, seed, time_domain=statespace.DISCRETE)
+        bb, cc = m.b @ m.b.T, m.c.T @ m.c
+        self._pins(monkeypatch, k, lambda: gramian._stein_doubling(m.a, bb, cc))
 
 
 def _kron_tri_solve(a, b, c, discrete):
@@ -529,6 +571,15 @@ class TestCARE:
         args[which][0, 0] = bad
         with pytest.raises(DimensionError, match="non-finite"):
             gramian.solve_care(*args)
+
+    @pytest.mark.parametrize(
+        "a, r",
+        [(np.ones((2, 3)), np.eye(1)), (-np.eye(2), np.eye(2))],
+        ids=["non-square-a", "r-not-q-by-q"],
+    )
+    def test_mismatched_dimensions_raise_dimension_error(self, a, r):
+        with pytest.raises(DimensionError, match="^incompatible Riccati dimensions$"):
+            gramian.solve_care(a, np.ones((2, 1)), np.eye(2), r)
 
     def test_synthesis_error_when_unstabilizable(self):
         # the doubling shift is 1 here, so A - gamma I is singular and the

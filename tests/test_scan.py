@@ -313,6 +313,16 @@ class TestBuild:
         assert cli.read_matrix("matrix 1 1 real\n2\n")[0, 0] == 2.0
         assert len(compiler_calls) == 1
 
+    def test_a_build_removes_libraries_of_sources_gone_from_the_package(
+        self, fresh_build, compiler_calls
+    ):
+        # `_scan.c` is now `_kernels.c`: nothing loads the old name's library
+        fresh_build.mkdir()
+        (fresh_build / "_scan-0123456789abcdef.so").write_bytes(b"x")
+        assert cli.read_matrix("matrix 1 1 real\n1.5\n")[0, 0] == 1.5
+        assert len(compiler_calls) == 1
+        assert [p.name.split("-")[0] for p in fresh_build.iterdir()] == ["_kernels"]
+
     @pytest.mark.parametrize(
         "command, message",
         [("sh -c 'echo cc: fatal error: no input >&2; echo second >&2; exit 1' --",
