@@ -95,8 +95,11 @@ def truncate(m, bal):
 
 
 def truncation_error_bound(hankel, r):
-    """Twice the tail sum of the Hankel singular values, 2 sum_{i>r} sigma_i."""
+    """Twice the tail sum of the Hankel singular values, 2 sum_{i>r} sigma_i,
+    for 0 <= r <= the number of values (RankError otherwise)."""
     hankel = np.asarray(hankel, dtype=float)
     if r > hankel.size:
         raise RankError("rank exceeds number of Hankel values")
+    if r < 0:
+        raise RankError(f"rank must be non-negative, got {r}")
     return float(2.0 * np.sum(hankel[r:]))

@@ -321,8 +321,7 @@ def cmd_select(args):
         print(f"h2_norm {_fmt(h2[0])}")
         print(f"h2_norm_frequency {_fmt(h2[1])}")
     err_explicit, err_sqrt_p = selection._state_error_bounds(
-        m.c, bal.psi_r, bal.hankel, ("explicit", "sqrt_p"), "sensors"
-    )
+        m.c, bal.psi_r, bal.hankel, "sensors")
     low_s = selection.sensor_logdet_lower_bound(m.c, bal.psi_r, bal.hankel, sel.gamma)
     low_a = selection.actuator_logdet_lower_bound(m.b, bal.phi_r, bal.hankel, sel.beta)
     print(f"interp_error_bound {_fmt(err_explicit)}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import balancing, gramian, matkernel, selection
-from .errors import EnumerationCapError, RankError
+from .errors import DimensionError, EnumerationCapError, RankError
 
 __all__ = [
     "logdet_objective",
@@ -73,18 +73,26 @@ def _subset_values(gram, index_array, metric):
     return _batched_logdets(gram, index_array)
 
 
+def _check_budget(budget, p):
+    """DimensionError unless 0 <= budget <= p."""
+    if not 0 <= budget <= p:
+        raise DimensionError(f"budget must be between 0 and p = {p}, got {budget}")
+
+
 def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
     """Exhaustively enumerate all size-`budget` principal subset objectives.
 
     Returns (best_indices, values) where `values` lists the objective
     (log-det or trace of the principal submatrix) for every subset in
     lexicographic order.  Raises EnumerationCapError if C(p, budget)
-    exceeds `cap` (sample with `random_ensemble` instead).
+    exceeds `cap` (sample with `random_ensemble` instead), and
+    DimensionError for a budget outside [0, p].
     """
     if metric not in ("logdet", "trace"):
         raise ValueError(f"unknown metric {metric!r}")
     gram = matkernel.as_matrix(gram)
     p = gram.shape[0]
+    _check_budget(budget, p)
     total = math.comb(p, budget)
     if total > cap:
         raise EnumerationCapError(
@@ -102,11 +110,13 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
 
 
 def random_ensemble(gram, budget, count, seed):
-    """Log-dets of `count` uniform random index subsets (without replacement)."""
+    """Log-dets of `count` uniform random index subsets (without replacement);
+    DimensionError for a budget outside [0, p]."""
     if count < 1:
         raise ValueError("need at least one sample")
     gram = matkernel.as_matrix(gram)
     p = gram.shape[0]
+    _check_budget(budget, p)
     rng = np.random.default_rng(seed)
     index_array = np.empty((count, budget), dtype=np.intp)
     for i in range(count):

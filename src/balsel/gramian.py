@@ -20,14 +20,15 @@ blocks of at most _LEAF.  The triangular equation is complex, but for a
 real A every n x n product around it is real: `matkernel.schur` keeps the
 real Schur vectors V and the 2x2 rotations Z that fold the real Schur form
 into the complex one, U = V Z, and real data get a real solution.
-On that route `compute_gramians` factors A once per gramian pair, reads
-the Schur form of A* off it by a flip, and refines a gramian whose residual
-exceeds 1e-9 by one more solve from the same form (see there).
-A Stein problem the doubling hands over goes to that route unchanged, which
-raises the stability and ill-posedness errors; a Riccati one goes to Laub's
-ordered-Schur method on a scaled Hamiltonian matrix (`_care_schur`), which
-raises the synthesis errors.  Either Riccati answer takes one Newton
-refinement step when its residual still warrants it.
+One routine, `_solve`, takes every Lyapunov and Stein equation, one or a
+gramian pair: it picks the route, factors A once (the Schur form of A* is a
+flip of it), refines a Schur-route solution whose residual exceeds 1e-9 by
+one more solve from that form, and raises the non-finite NumericError.
+A Stein problem the doubling hands over goes to the Schur route unchanged,
+which raises the stability and ill-posedness errors; a Riccati one goes to
+Laub's ordered-Schur method on a scaled Hamiltonian matrix (`_care_schur`),
+which raises the synthesis errors.  Either Riccati answer takes one Newton
+step, a Lyapunov solve by `_solve`, when its residual still warrants it.
 """
 
 import warnings
@@ -62,6 +63,10 @@ __all__ = [
 
 # Largest block the recursive triangular solver hands to a leaf solver.
 _LEAF = 128
+
+# Relative residual above which `_solve` refines a Schur-route solution from
+# the form in hand (the bound the A2 gates hold solvers to).
+_GRAMIAN_TOL = 1e-9
 
 # The update budget and the growth limit of `_doubling` (see there).
 _DOUBLING_STEPS = 16
@@ -262,7 +267,47 @@ def _stein_doubling(a, m_c, m_o=None):
     return None if pair is None else tuple(None if w is None else _hermitize(w) for w in pair)
 
 
-def _solve(a, m, discrete):
+def _solve(a, m_c, m_o=None, *, discrete):
+    """[(W_c, residual)] for A W_c + W_c A* + M_c = 0, or A W_c A* - W_c +
+    M_c = 0 if `discrete`, and with `m_o` also (W_o, residual) for the same
+    equation on A*: the one solve path of every Lyapunov and Stein equation.
+
+    A discrete equation is summed by squared Smith doubling first
+    (`_stein_doubling`).  Otherwise A is factored once, the adjoint's form
+    is a flip of it (`SchurForm.adjoint`), and a solution whose relative
+    residual exceeds `_GRAMIAN_TOL` takes one refinement step, W += dW with
+    dW solving the same equation for the residual matrix, from that form.
+    The Schur route raises UnstableSystemError or IllPosedError from the
+    form's diagonal; a solution or residual that is not finite (A too far
+    from normal for double precision) raises NumericError.
+    """
+    rhs, names = ((m_c,), ("the solution",)) if m_o is None else (
+        (m_c, m_o), ("the controllability gramian", "the observability gramian"))
+    sols = _stein_doubling(a, m_c, m_o) if discrete else None
+    forms = None, None
+    # an overflowing solve is caught by the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sols is None:
+            form = matkernel.schur(a)
+            forms = form, None if m_o is None else form.adjoint()
+            sols = [_solve_from_schur(f, m, discrete) for f, m in zip(forms, rhs)]
+        out = []
+        for w, form, m, coef, name in zip(sols, forms, rhs, (a, a.conj().T), names):
+            res = _equation(coef, w, m, discrete)
+            err = _relative(res, m)
+            if form is not None and err > _GRAMIAN_TOL:
+                w = _hermitize(w + _solve_from_schur(form, res, discrete))
+                err = _relative(_equation(coef, w, m, discrete), m)
+            if not (np.isfinite(err) and np.isfinite(w).all()):
+                raise NumericError(f"{name} is not finite (relative residual {err:.3g}): A is "
+                                   "too far from normal for double precision")
+            out.append((w, err))
+    return out
+
+
+def _square(a, m):
+    """A and M as matrices; DimensionError unless they are square, of one
+    size and finite."""
     a = matkernel.as_matrix(a)
     m = matkernel.as_matrix(m)
     n = a.shape[0]
@@ -270,37 +315,26 @@ def _solve(a, m, discrete):
         raise DimensionError("coefficient and right-hand side must be square, same size")
     if not (np.isfinite(a).all() and np.isfinite(m).all()):
         raise DimensionError("coefficient or right-hand side has non-finite (nan or inf) entries")
-    pair = _stein_doubling(a, m) if discrete else None
-    if pair is not None:
-        return pair[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
-        w = _solve_from_schur(matkernel.schur(a), m, discrete)
-        err = _relative(_equation(a, w, m, discrete), m)
-    if not (np.isfinite(err) and np.isfinite(w).all()):
-        raise NumericError(f"the solution is not finite (relative residual {err:.3g}): A is "
-                           "too far from normal for double precision")
-    return w
+    return a, m
 
 
 def solve_lyapunov_continuous(a, m):
     """Solve A W + W A* + M = 0 for Hurwitz A and Hermitian M.
 
-    Non-finite A or M raises DimensionError; a solution that overflows
-    double precision, or whose residual does, raises NumericError.
+    The Schur route of `_solve`, refined above `_GRAMIAN_TOL`, with its
+    errors; non-finite A or M raises DimensionError.
     """
-    return _solve(a, m, discrete=False)
+    return _solve(*_square(a, m), discrete=False)[0][0]
 
 
 def solve_stein(a, m):
     """Solve A W A* - W + M = 0 for Schur-stable A and Hermitian M.
 
-    Squared Smith doubling first (`_stein_doubling`); an A on which it does
-    not converge goes to the Schur form, which raises UnstableSystemError or
-    IllPosedError as its diagonal warrants, and NumericError if the
-    solution or its residual overflows double precision.  Non-finite A or M
-    raises DimensionError.
+    `_solve`: squared Smith doubling and its residual (2 GEMMs), or on an A
+    where it does not converge the refined Schur route, with its errors;
+    non-finite A or M raises DimensionError.
     """
-    return _solve(a, m, discrete=True)
+    return _solve(*_square(a, m), discrete=True)[0][0]
 
 
 def _equation(a, w, m, discrete):
@@ -320,51 +354,15 @@ def stein_residual(a, w, m):
     return _relative(_equation(a, w, m, True), m)
 
 
-# Relative gramian residual above which `compute_gramians` refines a
-# solution from the Schur form (the bound the A2 gates hold solvers to).
-_GRAMIAN_TOL = 1e-9
-
-
 def compute_gramians(m):
-    """Exact controllability and observability gramians of a stable model.
-
-    A discrete model's two Stein equations are summed together by squared
-    Smith doubling (`_stein_doubling`), which computes no Schur form.  A
-    continuous model, and a discrete one on which doubling does not
-    converge, factor A once, and the adjoint's Schur form is read off it by
-    a flip (`matkernel.SchurForm.adjoint`).  On that route a gramian whose
-    relative residual exceeds `_GRAMIAN_TOL` takes one refinement step,
-    W += dW with dW solving the same equation for the residual matrix, from
-    the Schur form in hand.  Stability is not tested separately: convergent
-    doubling proves it, and otherwise the solver raises UnstableSystemError
-    from the Schur form's diagonal.  A gramian or residual that is not
-    finite (A too far from normal for double precision) raises NumericError.
+    """Exact controllability and observability gramians of a stable model:
+    `_solve` on (B B*, C* C).  Stability is not tested separately: doubling
+    that converges proves it, and the Schur route raises UnstableSystemError
+    from the form's diagonal.
     """
-    discrete = m.time_domain == statespace.DISCRETE
-    bb = m.b @ m.b.conj().T
-    cc = m.c.conj().T @ m.c
-    sides = ("controllability", m.a, bb), ("observability", m.a.conj().T, cc)
-    pair = _stein_doubling(m.a, bb, cc) if discrete else None
-    forms = None, None
-    # an overflowing solve is caught by the finiteness test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if pair is None:
-            form = matkernel.schur(m.a)
-            forms = form, form.adjoint()
-            pair = [_solve_from_schur(f, rhs, discrete) for f, (_, _, rhs) in zip(forms, sides)]
-        grams, errs = [], []
-        for w, form, (name, a, rhs) in zip(pair, forms, sides):
-            res = _equation(a, w, rhs, discrete)
-            err = _relative(res, rhs)
-            if form is not None and err > _GRAMIAN_TOL:
-                w = _hermitize(w + _solve_from_schur(form, res, discrete))
-                err = _relative(_equation(a, w, rhs, discrete), rhs)
-            if not (np.isfinite(err) and np.isfinite(w).all()):
-                raise NumericError(f"the {name} gramian is not finite (relative residual "
-                                   f"{err:.3g}): A is too far from normal for double precision")
-            grams.append(w)
-            errs.append(err)
-    return GramianPair(*grams, *errs)
+    (w_c, err_c), (w_o, err_o) = _solve(m.a, m.b @ m.b.conj().T, m.c.conj().T @ m.c,
+                                        discrete=m.time_domain == statespace.DISCRETE)
+    return GramianPair(w_c, w_o, err_c, err_o)
 
 
 # Relative norm of the last snapshot block (to the first) above which
@@ -410,17 +408,19 @@ def empirical_gramians(direct, adjoint, weights):
     return GramianPair(_hermitize(w_c), _hermitize(w_o), np.nan, np.nan)
 
 
+def _care_terms(a, b, q, r, x):
+    """The CARE residual matrix A* X + X A - X G X + Q, G X = B R^{-1} B* X
+    and the relative residual, each computed once for X."""
+    gx = b @ np.linalg.solve(r, b.conj().T @ x)
+    ax, xgx = a.conj().T @ x, x @ gx
+    res = ax + x @ a - xgx + q
+    den = max(np.linalg.norm(q), 2.0 * np.linalg.norm(ax), np.linalg.norm(xgx), 1e-300)
+    return res, gx, float(np.linalg.norm(res) / den)
+
+
 def care_residual(a, b, q, r, x):
     """Relative residual of the continuous algebraic Riccati equation."""
-    gx = b @ np.linalg.solve(r, b.conj().T @ x)
-    res = a.conj().T @ x + x @ a - x @ gx + q
-    den = max(
-        np.linalg.norm(q),
-        2.0 * np.linalg.norm(a.conj().T @ x),
-        np.linalg.norm(x @ gx),
-        1e-300,
-    )
-    return float(np.linalg.norm(res) / den)
+    return _care_terms(a, b, q, r, x)[2]
 
 
 # Relative CARE residual above which `solve_care` takes its Newton step.
@@ -497,11 +497,11 @@ def solve_care(a, b, q_weight, r_weight):
     unchanged to the ordered Schur form of the Hamiltonian (`_care_schur`),
     which raises SynthesisError when no stabilizing solution exists.  Both
     keep the field of their inputs: real inputs give a real X.  A singular
-    R raises SynthesisError.  If the residual exceeds `_REFINE_TOL`, one
-    Newton step (a Lyapunov solve on the closed loop) refines X, and A - G X
-    must then have its eigenvalues in the open left half plane
-    (SynthesisError otherwise).  A non-square A, a B, Q or R whose size does
-    not match it or B's columns, or a non-finite entry raises DimensionError.
+    R raises SynthesisError.  Above `_REFINE_TOL`, one Newton step refines
+    X: `solve_lyapunov_continuous` on A - G X for the residual matrix, both
+    from `_care_terms`.  A - G X must then be Hurwitz (SynthesisError
+    otherwise).  A non-square A, a B, Q or R whose size does not match it or
+    B's columns, or a non-finite entry raises DimensionError.
     """
     a = matkernel.as_matrix(a)
     b = matkernel.as_matrix(b)
@@ -523,17 +523,14 @@ def solve_care(a, b, q_weight, r_weight):
         x = _care_schur(a, g, q_weight)
     x = _hermitize(x)
 
-    if care_residual(a, b, q_weight, r_weight, x) > _REFINE_TOL:
-        gx = b @ np.linalg.solve(r_weight, b.conj().T @ x)
-        a_cl = a - gx
-        res = a.conj().T @ x + x @ a - x @ gx + q_weight
+    res, gx, err = _care_terms(a, b, q_weight, r_weight, x)
+    if err > _REFINE_TOL:
         try:
-            delta = solve_lyapunov_continuous(a_cl.conj().T, res)
-            x = _hermitize(x + delta)
+            x = _hermitize(x + solve_lyapunov_continuous((a - gx).conj().T, res))
+            gx = b @ np.linalg.solve(r_weight, b.conj().T @ x)
         except (UnstableSystemError, IllPosedError, NumericError):
             pass  # keep the unrefined iterate
 
-    a_cl = a - b @ np.linalg.solve(r_weight, b.conj().T @ x)
-    if statespace._instability(matkernel.eigvals(a_cl), discrete=False):
+    if statespace._instability(matkernel.eigvals(a - gx), discrete=False):
         raise SynthesisError("Riccati closed loop is not stable")
     return x

@@ -220,3 +220,9 @@ class TestTruncationErrorBound:
 
     def test_all_equal(self):
         assert balancing.truncation_error_bound([1.0, 1.0, 1.0, 1.0], 2) == 4.0
+
+    @pytest.mark.parametrize("r", [-1, -3, 4])
+    def test_rank_outside_the_values_raises_rank_error(self, r):
+        # a negative r would sum the last |r| values instead of failing
+        with pytest.raises(RankError):
+            balancing.truncation_error_bound([3.0, 2.0, 1.0], r)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balsel import balancing, evaluation, gramian, matkernel, selection
-from balsel.errors import EnumerationCapError, RankError
+from balsel.errors import DimensionError, EnumerationCapError, RankError
 from balsel.models import random_stable_system
 
 
@@ -134,6 +134,22 @@ class TestRandomEnsemble:
         s1 = evaluation.random_ensemble(w, 3, 50, seed=7)
         s2 = evaluation.random_ensemble(w, 3, 50, seed=7)
         assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("budget", [-1, 4])
+@pytest.mark.parametrize("enumerate_", [
+    lambda gram, budget: evaluation.brute_force(gram, budget),
+    lambda gram, budget: evaluation.random_ensemble(gram, budget, 10, 0),
+], ids=["brute_force", "random_ensemble"])
+def test_budget_outside_zero_to_p_raises_dimension_error(enumerate_, budget):
+    with pytest.raises(DimensionError,
+                       match=rf"^budget must be between 0 and p = 3, got {budget}$"):
+        enumerate_(np.eye(3), budget)
+
+
+def test_zero_budget_is_one_empty_subset():
+    best, vals = evaluation.brute_force(np.eye(3), 0)
+    assert best.shape == (0,) and vals.tolist() == [0.0]
 
 
 class TestMonotoneGrowth:

@@ -264,6 +264,52 @@ class TestSteinDoubling:
             gramian.compute_gramians(m)
 
 
+class TestOneSolvePath:
+    # every Lyapunov and Stein equation goes through `gramian._solve`: one
+    # route choice, one refinement and one overflow check
+
+    def test_public_solver_meets_the_gramian_bound_on_the_gl_closed_loop(self):
+        # the unrefined Schur route leaves 2.6e-9 on this equation
+        cl = models.gl_pipeline(r=5)["closed_loop"]
+        bb = cl.b @ cl.b.conj().T
+        w = gramian.solve_lyapunov_continuous(cl.a, bb)
+        assert gramian.lyapunov_residual(cl.a, w, bb) <= 1e-9
+        np.testing.assert_array_equal(w, gramian.compute_gramians(cl).w_c)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([1.0 - 1e-6, 0.5]), np.array([[0.5, 1e4], [0.0, 0.5]])],
+        ids=["step-budget", "growth-limit"],
+    )
+    def test_refined_stein_fallback_stays_the_schur_route(self, monkeypatch, schur_calls, a):
+        # unrefined, the fallback is the Schur route bit for bit (TestSteinDoubling);
+        # a forced refinement solves from the form in hand and moves W at roundoff
+        ref = gramian._solve_from_schur(matkernel.schur(a), np.eye(2), True)
+        schur_calls.clear()
+        monkeypatch.setattr(gramian, "_GRAMIAN_TOL", 0.0)
+        w = gramian.solve_stein(a, np.eye(2))
+        assert schur_calls == [2]
+        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("call, discrete", [
+        (lambda m: gramian.solve_stein(0.5 * np.eye(3), np.eye(3)), True),
+        (lambda m: gramian.solve_lyapunov_continuous(m.a, np.eye(3)), False),
+        (lambda m: gramian.compute_gramians(m), False),
+        (lambda m: gramian.solve_care(m.a, m.b, np.eye(3), np.eye(2)), False),
+    ], ids=["stein", "continuous", "gramians", "care-newton-step"])
+    def test_every_solver_takes_the_one_path(self, monkeypatch, call, discrete):
+        calls = []
+
+        def counting(*args, _inner=gramian._solve, **kwargs):
+            calls.append(kwargs["discrete"])
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(gramian, "_solve", counting)
+        monkeypatch.setattr(gramian, "_REFINE_TOL", 0.0)  # force the Newton step
+        call(random_stable_system(3, 2, 2, seed=7))
+        assert calls == [discrete]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "domain, scale",

@@ -246,10 +246,8 @@ class TestBounds:
 
     def test_sqrt_p_form_is_looser(self):
         m, grams, bal = balanced_system(seed=74, r=3)
-        tight = selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
-        loose = selection.sensor_state_error_bound(
-            m.c, bal.psi_r, bal.hankel, form="sqrt_p"
-        )
+        tight, loose = selection._state_error_bounds(m.c, bal.psi_r, bal.hankel, "sensors")
+        assert tight == selection.sensor_state_error_bound(m.c, bal.psi_r, bal.hankel)
         assert tight <= loose
 
     def test_scalar_logdet_bound_is_tight(self):
