@@ -32,11 +32,11 @@ print("\nnon-collocated r=5:")
 print(f"  sensors   xi = {np.round(np.sort(params.grid[out_nc['selection'].gamma]), 2).tolist()}")
 print(f"  actuators xi = {np.round(np.sort(params.grid[out_nc['selection'].beta]), 2).tolist()}")
 
-# controller gain map: each selected sensor mostly drives its nearest actuator
-out5 = gl_pipeline(params, r=5)
+# controller gain map at r = 5, the loop's last result: each selected
+# sensor mostly drives its nearest actuator
 grid = FrequencyGrid(np.array([0.1, 10.0, 1000.0]))
 gains, gs, bs = lqg_gain_grid(
-    out5["controller"], out5["selection"].gamma, out5["selection"].beta, grid, params.grid
+    out["controller"], out["selection"].gamma, out["selection"].beta, grid, params.grid
 )
 for i, omega in enumerate(grid.points):
     print(f"\ngain map (dB) at omega = {omega:g} (rows: actuators, cols: sensors)")

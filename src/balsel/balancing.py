@@ -54,12 +54,23 @@ def balance(w, r):
     below 1e-12 * sigma_1, i.e. the requested rank crosses the numerical
     rank of the Hankel spectrum.
     """
-    n = w.w_c.shape[0]
-    if not 1 <= r <= n:
-        raise RankError(f"rank must be between 1 and {n}, got {r}")
+    return _truncated(_factored(w), r)
+
+
+def _factored(w):
+    """The rank-independent half of `balance`, which serves every rank: the
+    gramian factors L_c, L_o and the SVD U, sigma, V of L_o* L_c."""
     l_c = matkernel._psd_factor(w.w_c)
     l_o = matkernel._psd_factor(w.w_o)
-    u, hankel, v = matkernel.svd(l_o.conj().T @ l_c)
+    return l_c, l_o, *matkernel.svd(l_o.conj().T @ l_c)
+
+
+def _truncated(factored, r):
+    """The rank-r half of `balance` on the output of `_factored`."""
+    l_c, l_o, u, hankel, v = factored
+    n = l_c.shape[0]
+    if not 1 <= r <= n:
+        raise RankError(f"rank must be between 1 and {n}, got {r}")
     if hankel[r - 1] <= 1e-12 * hankel[0]:
         admissible = int(np.sum(hankel > 1e-12 * hankel[0]))
         raise RankError(

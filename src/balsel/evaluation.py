@@ -139,20 +139,22 @@ def rank_sweeps(model, ranks, seeds, count=200):
     """`rank_sweep` for each ensemble seed in `seeds`, as a list of row lists.
 
     The gramians and the per-rank QR selections do not depend on the seed,
-    so they are computed once for all seeds.  One balancing at the largest
-    rank serves every rank: the rank-r modes are its first r columns.
+    so they are computed once for all seeds.  One factor-and-SVD of the
+    gramians serves every rank: each rank's modes are `balance(grams, r)`'s.
     """
     # a range's extremes are its ends, read in O(1) however long it is
     ends = (ranks[0], ranks[-1]) if isinstance(ranks, range) and ranks else ranks
-    if min(ends, default=0) < 1:  # a column slice would not catch it
+    if min(ends, default=0) < 1:
         raise RankError(f"ranks must be at least 1, got {ranks}")
     grams = gramian.compute_gramians(model)
     gram_sensor = model.c @ grams.w_c @ model.c.conj().T
     gram_actuator = model.b.conj().T @ grams.w_o @ model.b
-    bal = balancing.balance(grams, max(ends))
+    factored = balancing._factored(grams)
+    balancing._truncated(factored, max(ends))  # its RankError covers every rank, up front
     qr_values = []
     for r in ranks:
-        sel = selection.select_subsets(model.c, model.b, bal.psi_r[:, :r], bal.phi_r[:, :r])
+        bal = balancing._truncated(factored, r)
+        sel = selection.select_subsets(model.c, model.b, bal.psi_r, bal.phi_r)
         qr_values.append(
             logdet_objective(sel.gamma, gram_sensor)
             + logdet_objective(sel.beta, gram_actuator)

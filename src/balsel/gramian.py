@@ -275,8 +275,8 @@ def _solve(a, m_c, m_o=None, *, discrete):
     A discrete equation is summed by squared Smith doubling first
     (`_stein_doubling`).  Otherwise A is factored once, the adjoint's form
     is a flip of it (`SchurForm.adjoint`), and a solution whose relative
-    residual exceeds `_GRAMIAN_TOL` takes one refinement step, W += dW with
-    dW solving the same equation for the residual matrix, from that form.
+    residual exceeds `_GRAMIAN_TOL` becomes W + dW, dW solving the equation
+    for the residual matrix from that form, if that lowers the residual.
     The Schur route raises UnstableSystemError or IllPosedError from the
     form's diagonal; a solution or residual that is not finite (A too far
     from normal for double precision) raises NumericError.
@@ -296,8 +296,10 @@ def _solve(a, m_c, m_o=None, *, discrete):
             res = _equation(coef, w, m, discrete)
             err = _relative(res, m)
             if form is not None and err > _GRAMIAN_TOL:
-                w = _hermitize(w + _solve_from_schur(form, res, discrete))
-                err = _relative(_equation(coef, w, m, discrete), m)
+                refined = _hermitize(w + _solve_from_schur(form, res, discrete))
+                refined_err = _relative(_equation(coef, refined, m, discrete), m)
+                if refined_err < err:
+                    w, err = refined, refined_err
             if not (np.isfinite(err) and np.isfinite(w).all()):
                 raise NumericError(f"{name} is not finite (relative residual {err:.3g}): A is "
                                    "too far from normal for double precision")
@@ -307,12 +309,14 @@ def _solve(a, m_c, m_o=None, *, discrete):
 
 def _square(a, m):
     """A and M as matrices; DimensionError unless they are square, of one
-    size and finite."""
+    size, not empty and finite."""
     a = matkernel.as_matrix(a)
     m = matkernel.as_matrix(m)
     n = a.shape[0]
     if a.shape[1] != n or m.shape != (n, n):
         raise DimensionError("coefficient and right-hand side must be square, same size")
+    if n == 0:
+        raise DimensionError("coefficient and right-hand side are empty")
     if not (np.isfinite(a).all() and np.isfinite(m).all()):
         raise DimensionError("coefficient or right-hand side has non-finite (nan or inf) entries")
     return a, m

@@ -337,18 +337,19 @@ def gl_pipeline(params=None, r=5, no_collocate=False):
 
 def _gl_plant_stage(params):
     """The rank-independent half of `gl_pipeline`: (params, plant,
-    controller, controller gramians)."""
+    controller, the factor-and-SVD of the controller's balancing)."""
     if params is None:
         params = GinzburgLandauParams()
     a, b2, c2 = ginzburg_landau_plant(params)
     controller = lqg_synthesize(a, b2, c2)
-    return params, (a, b2, c2), controller, gramian.compute_gramians(controller.controller_model)
+    grams = gramian.compute_gramians(controller.controller_model)
+    return params, (a, b2, c2), controller, balancing._factored(grams)
 
 
 def _gl_rank_stage(stage, r, no_collocate):
     """The rank-r half of `gl_pipeline` on the output of `_gl_plant_stage`."""
-    params, (a, b2, c2), controller, grams = stage
-    bal = balancing.balance(grams, r)
+    params, (a, b2, c2), controller, factored = stage
+    bal = balancing._truncated(factored, r)
 
     # The plant's sensors are the controller's inputs (columns of L) and its
     # actuators the controller's outputs (rows of -F), so they are the

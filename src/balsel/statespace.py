@@ -48,6 +48,8 @@ class StateSpaceModel:
         n = self.a.shape[0]
         if self.a.shape[1] != n:
             raise DimensionError("state matrix must be square")
+        if n == 0:
+            raise DimensionError("state matrix is empty: a model needs at least one state")
         if self.b.shape[0] != n:
             raise DimensionError(f"input matrix must have {n} rows")
         if self.c.shape[1] != n:

@@ -215,6 +215,28 @@ class TestModelInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "non-finite" in err
 
+    @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("gramians", []),
+            ("select", ["--rank", "1"]),
+            ("bruteforce", ["--budget", "1"]),
+            ("bench-random", ["--ranks", "1"]),
+        ],
+        ids=["gramians", "select", "bruteforce", "bench-random"],
+    )
+    def test_zero_state_model_exit_3(self, tmp_path, capsys, command, extra, domain):
+        path = tmp_path / "z.txt"
+        path.write_text(f"model {domain}\nmatrix 0 0 real\nmatrix 0 1 real\nmatrix 1 0 real\n")
+        out = tmp_path / "out"
+        assert run([command, "--model", str(path), "--out", str(out)] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: state matrix is empty: "
+                                "a model needs at least one state\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     @pytest.mark.parametrize("domain", [statespace.CONTINUOUS, statespace.DISCRETE])
@@ -739,9 +761,47 @@ class TestGLDemoCommand:
         # control and filter Riccati plus the controller's gramians once,
         # then one closed-loop gramian pair per rank
         assert counts == {"solve_care": 2, "compute_gramians": 1 + 3}
-        pipe = models.gl_pipeline(models.GinzburgLandauParams(n=28), r=3)
-        last = (out / "placement.csv").read_text().splitlines()[-1]
-        assert last.split(",")[-2:] == [f"{pipe['h2']:.17g}", str(int(pipe["stable"]))]
+        # every rank's rows are gl_pipeline's at that rank
+        params = models.GinzburgLandauParams(n=28)
+        rows = (out / "placement.csv").read_text().splitlines()[1:]
+        expected = []
+        for r in (1, 2, 3):
+            pipe = models.gl_pipeline(params, r=r)
+            gs, bs = np.sort(pipe["selection"].gamma), np.sort(pipe["selection"].beta)
+            expected += [
+                f"{r},{k + 1},{gs[k] + 1},{cli._fmt(params.grid[gs[k]])},"
+                f"{bs[k] + 1},{cli._fmt(params.grid[bs[k]])},"
+                f"{cli._fmt(pipe['h2'])},{int(pipe['stable'])}"
+                for k in range(r)
+            ]
+        assert rows == expected
+
+    def test_one_balancing_factorization_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(a, _inner=matkernel.svd):
+            calls.append(np.shape(a))
+            return _inner(a)
+
+        monkeypatch.setattr(matkernel, "svd", counting)
+        cfgfile = tmp_path / "gl.cfg"
+        cfgfile.write_text("n=28\n")
+        out = tmp_path / "gl"
+        assert run(["gl-demo", "--gl-params", str(cfgfile), "--rank", "3", "--out", str(out)]) == 0
+        assert calls == [(28, 28)]
+
+    def test_ranks_above_the_grid_size_are_reported_and_skipped(self, tmp_path, capsys):
+        cfgfile = tmp_path / "gl.cfg"
+        cfgfile.write_text("n=8\n")
+        out = tmp_path / "gl"
+        assert run(["gl-demo", "--gl-params", str(cfgfile), "--rank", "10", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"r={r}: synthesis failed: rank must be between 1 and 8, got {r}"
+                       for r in (9, 10)]
+        placement = (out / "placement.csv").read_text().splitlines()
+        assert len(placement) == 1 + sum(range(1, 9))
+        assert {row.split(",")[0] for row in placement[1:]} == {str(r) for r in range(1, 9)}
+        assert (out / "lqg_gain.csv").exists()
 
     def test_failed_synthesis_reported_for_every_rank(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -191,7 +191,9 @@ class TestRankSweep:
         assert len(rows) == 10
         assert calls == [(40, 40)]
 
-    def test_rank_slices_pick_the_per_rank_pivots(self):
+    def test_rank_slices_pick_the_per_rank_pivots(self, monkeypatch):
+        # slices of a wider balancing pick the same pivots, but differ from
+        # each rank's own modes at roundoff; rank_sweep hands over the latter
         m = random_stable_system(30, 12, 12, seed=8)
         grams = gramian.compute_gramians(m)
         full = balancing.balance(grams, 6)
@@ -201,6 +203,20 @@ class TestRankSweep:
             sliced = selection.select_subsets(m.c, m.b, full.psi_r[:, :r], full.phi_r[:, :r])
             assert np.array_equal(own.gamma, sliced.gamma)
             assert np.array_equal(own.beta, sliced.beta)
+
+        handed = []
+
+        def recording(c, b, psi_r, phi_r, _inner=selection.select_subsets):
+            handed.append((psi_r, phi_r))
+            return _inner(c, b, psi_r, phi_r)
+
+        monkeypatch.setattr(selection, "select_subsets", recording)
+        evaluation.rank_sweep(m, ranks=range(1, 7), count=5)
+        assert len(handed) == 6
+        for r, (psi_r, phi_r) in enumerate(handed, 1):
+            bal = balancing.balance(grams, r)
+            np.testing.assert_array_equal(psi_r, bal.psi_r)
+            np.testing.assert_array_equal(phi_r, bal.phi_r)
 
     def test_inadmissible_largest_rank_is_named(self):
         m = random_stable_system(4, 4, 4, seed=1)

@@ -283,13 +283,27 @@ class TestOneSolvePath:
     )
     def test_refined_stein_fallback_stays_the_schur_route(self, monkeypatch, schur_calls, a):
         # unrefined, the fallback is the Schur route bit for bit (TestSteinDoubling);
-        # a forced refinement solves from the form in hand and moves W at roundoff
+        # a forced refinement solves from the form in hand and keeps W within roundoff
         ref = gramian._solve_from_schur(matkernel.schur(a), np.eye(2), True)
         schur_calls.clear()
         monkeypatch.setattr(gramian, "_GRAMIAN_TOL", 0.0)
         w = gramian.solve_stein(a, np.eye(2))
         assert schur_calls == [2]
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a, tol", [
+        (overflowing_a(statespace.DISCRETE, 1, n=40)[0], gramian._GRAMIAN_TOL),
+        (np.array([[0.5, 1e4], [0.0, 0.5]]), 0.0),
+    ], ids=["overflowing-a", "forced-growth-limit"])
+    def test_refinement_that_raises_the_residual_is_dropped(self, monkeypatch, a, tol):
+        # the refinement step takes these Stein residuals 4.17 -> 5.24 and
+        # 1.8e-12 -> 4.2e-8, so the unrefined Schur-route W is returned
+        m = np.eye(len(a))
+        ref = gramian._solve_from_schur(matkernel.schur(a), m, True)
+        monkeypatch.setattr(gramian, "_GRAMIAN_TOL", tol)
+        [(w, err)] = gramian._solve(a, m, discrete=True)
+        np.testing.assert_array_equal(w, ref)
+        assert err == gramian.stein_residual(a, ref, m) > tol
 
     @pytest.mark.parametrize("call, discrete", [
         (lambda m: gramian.solve_stein(0.5 * np.eye(3), np.eye(3)), True),
@@ -335,6 +349,13 @@ def test_non_finite_input_raises_dimension_error(solve, which, bad):
     args[which][1, 0] = bad
     with pytest.raises(DimensionError, match=r"non-finite \(nan or inf\) entries$"):
         solve(**args)
+
+
+@pytest.mark.parametrize("solve", [gramian.solve_stein, gramian.solve_lyapunov_continuous],
+                         ids=["stein", "continuous"])
+def test_empty_input_raises_dimension_error(solve):
+    with pytest.raises(DimensionError, match="are empty$"):
+        solve(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 class TestDoublingBudget:

@@ -26,6 +26,11 @@ class TestModel:
         with pytest.raises(DimensionError):
             StateSpaceModel(np.eye(2), np.zeros((2, 1)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_no_states_rejected(self, domain):
+        with pytest.raises(DimensionError, match="at least one state"):
+            StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), domain)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("which", ["a", "b", "c"])
     def test_non_finite_entries_rejected(self, bad, which):
