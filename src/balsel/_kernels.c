@@ -49,6 +49,13 @@ static const unsigned char CLASS[256] = {
     [0x1f] = SEP, [' '] = SEP,
 };
 
+/* Runs of 8 digits are read as one little-endian word (SWAR). */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define SWAR_DIGITS 1
+#else
+#define SWAR_DIGITS 0
+#endif
+
 #define IS_DIGIT(c) ((unsigned)((c) - '0') < 10u)
 #define ENDS_TOKEN(p, end) ((p) == (end) || (CLASS[*(p)] & SEP) || *(p) == '#')
 
@@ -99,6 +106,51 @@ static double slow(const unsigned char *p, const unsigned char *end)
     return v;
 }
 
+#if SWAR_DIGITS
+/* Whether the 8 bytes of x are all ASCII digits: each byte is 0x3_ and
+ * adding 6 keeps it there, i.e. its low nibble is at most 9. */
+static int eight_digits(uint64_t x)
+{
+    const uint64_t hi = 0xF0F0F0F0F0F0F0F0u;
+    return ((x & hi) | (((x + 0x0606060606060606u) & hi) >> 4)) == 0x3333333333333333u;
+}
+
+/* The value of the 8 digits in x, the first in its lowest byte: pairs,
+ * then quads, then the whole, each step one multiply. */
+static uint64_t eight_value(uint64_t x)
+{
+    const uint64_t mask = 0x000000FF000000FFu;
+    x -= 0x3030303030303030u;
+    x = x * 10 + (x >> 8);
+    return ((x & mask) * 0x000F424000000064u + ((x >> 16) & mask) * 0x0000271000000001u) >> 32;
+}
+#endif
+
+/* Read the digit run at p into m and sig (see number()); return its end. */
+static const unsigned char *digits(const unsigned char *p, const unsigned char *end,
+                                   uint64_t *m, int *sig)
+{
+    while (p < end && IS_DIGIT(*p)) {
+#if SWAR_DIGITS
+        /* after a nonzero digit, 8 more still fit in the first 19 */
+        uint64_t x;
+        if (*sig && *sig <= 11 && end - p >= 8 && (memcpy(&x, p, 8), eight_digits(x))) {
+            *m = 100000000u * *m + eight_value(x);
+            *sig += 8;
+            p += 8;
+            continue;
+        }
+#endif
+        if (*sig || *p != '0') {
+            if (*sig < 19)
+                *m = 10 * *m + (uint64_t)(*p - '0');
+            *sig += *sig < 20;
+        }
+        p++;
+    }
+    return p;
+}
+
 /* Parse one number at p; store it in *out and return the byte after it,
  * or NULL when no number of the grammar starts at p. */
 static const unsigned char *number(const unsigned char *p, const unsigned char *end,
@@ -107,7 +159,8 @@ static const unsigned char *number(const unsigned char *p, const unsigned char *
     const unsigned char *start = p;
     uint64_t m = 0;
     int64_t k = 0, exp = 0;
-    int any = 0, sig = 0, neg = 0, exp_neg = 0;
+    int any, sig = 0, neg = 0, exp_neg = 0;
+    const unsigned char *q;
     size_t w;
 
     if (p < end && (*p == '+' || *p == '-'))
@@ -122,19 +175,15 @@ static const unsigned char *number(const unsigned char *p, const unsigned char *
     }
     /* value = (all significant digits) * 10^k; m holds the first 19 of them
      * and sig counts them up to 20, past which the fast path does not apply */
-    for (; p < end && IS_DIGIT(*p); p++, any = 1)
-        if (sig || *p != '0') {
-            if (sig < 19)
-                m = 10 * m + (uint64_t)(*p - '0');
-            sig += sig < 20;
-        }
-    if (p < end && *p == '.')
-        for (p++; p < end && IS_DIGIT(*p); p++, any = 1, k--)
-            if (sig || *p != '0') {
-                if (sig < 19)
-                    m = 10 * m + (uint64_t)(*p - '0');
-                sig += sig < 20;
-            }
+    q = digits(p, end, &m, &sig);
+    any = q > p;
+    p = q;
+    if (p < end && *p == '.') {
+        q = digits(++p, end, &m, &sig);
+        any |= q > p;
+        k = p - q;
+        p = q;
+    }
     if (!any)
         return NULL;
     if (p < end && (*p | 0x20) == 'e') {

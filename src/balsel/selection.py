@@ -10,6 +10,11 @@ Singular values of sampled modes come from their r x r short-side Gram
 matrix, one GEMM instead of a tall SVD; sigma_min is read there only while
 lambda_min > _GRAM_TOL lambda_max, where squaring costs about eps kappa^2
 relative (Higham, Accuracy and Stability, 2nd ed., sec. 20), else the SVD.
+The state error bound with p >= n candidates forms G = C* C once: ||C||_2
+and sigma_min(C Psi_r)^2 = lambda_min(Psi_r* G Psi_r) both come from it,
+the latter only while sigma_min >= 1e-2 ||C|| ||Psi_r||, else C Psi_r is
+formed and `_smin` decides.  Non-finite input is found on these small Gram
+matrices, never by a pass over the candidates.
 """
 
 from dataclasses import dataclass
@@ -72,16 +77,24 @@ class ProjectionOperator:
         return float(np.linalg.cond(self.sampled_rows))
 
 
-def _gram_eigvalsh(mat):
+def _finite_eigvalsh(gram, what):
+    """Ascending eigenvalues of the Hermitian `gram` of `what`; DimensionError
+    when it is not finite (a non-finite entry of `what` always reaches it)."""
+    if not np.isfinite(gram).all():
+        raise DimensionError(f"the Gram matrix of {what} is not finite")
+    return np.linalg.eigvalsh(gram)
+
+
+def _gram_eigvalsh(mat, what):
     """Squared singular values, ascending, from the short-side Gram."""
     gram = mat.conj().T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.conj().T
-    return np.linalg.eigvalsh(gram)
+    return _finite_eigvalsh(gram, what)
 
 
 def _smin(mat, what, rtol=0.0):
     """Smallest singular value of `mat`; RankError when it is at most
     `rtol` (< 1e-2) times the largest (exactly zero by default)."""
-    lam = _gram_eigvalsh(mat)
+    lam = _gram_eigvalsh(mat, what)
     if lam[0] > _GRAM_TOL * lam[-1]:  # sigma ratio > 1e-2: no rtol trips
         return float(np.sqrt(lam[0]))
     sv = np.linalg.svd(mat.T if mat.shape[0] < mat.shape[1] else mat, compute_uv=False)
@@ -204,31 +217,71 @@ def pivot_inverse_norm_bound(u_matrix):
 
 def sensor_state_error_bound(c, psi_r, hankel):
     """A priori bound on ||x - P_C x||_2 for QR-selected sensors, with the
-    sqrt(p-r+1) pivot-growth constant."""
+    sqrt(p-r+1) pivot-growth constant.
+
+    DimensionError when Psi_r's rows do not match C's columns, C has fewer
+    than r rows, C or Psi_r is not finite (or a Gram matrix of them
+    overflows), or `hankel` is not a vector of at least r finite,
+    non-negative values.
+    """
     return _state_error_bounds(c, psi_r, hankel, "sensors")[0]
 
 
 def actuator_state_error_bound(b, phi_r, hankel):
-    """Dual bound on ||z - P_B z||_2 for QR-selected actuators."""
+    """Dual bound on ||z - P_B z||_2 for QR-selected actuators, with the
+    DimensionError rules of `sensor_state_error_bound` on B* and Phi_r."""
     b = matkernel.as_matrix(b)
     return _state_error_bounds(b.conj().T, phi_r, hankel, "actuators")[0]
 
 
-def _sampled(c, psi_r, what):
-    """C, Psi_r, p, r and sigma_min(C Psi_r) for a bound on p >= r candidates."""
+def _checked(c, psi_r, hankel, what):
+    """C, Psi_r, p, r and the Hankel values for a bound on p >= r candidates;
+    DimensionError unless Psi_r has a row per column of C and the Hankel
+    values are at least r finite, non-negative numbers."""
     c, psi_r = matkernel.as_matrix(c), matkernel.as_matrix(psi_r)
     p, r = c.shape[0], psi_r.shape[1]
+    if psi_r.shape[0] != c.shape[1]:
+        raise DimensionError(
+            f"modes have {psi_r.shape[0]} rows, but the {what}' candidate matrix "
+            f"has {c.shape[1]} columns")
     _check_candidates(p, r, what)
-    return c, psi_r, p, r, _smin(c @ psi_r, "C Psi_r")
+    hankel = np.asarray(hankel, dtype=float)
+    if hankel.ndim != 1 or hankel.size < r:
+        raise DimensionError(f"need a vector of at least r={r} Hankel singular values")
+    if not (np.isfinite(hankel).all() and (hankel >= 0).all()):
+        raise DimensionError("Hankel singular values must be finite and non-negative")
+    return c, psi_r, p, r, hankel
+
+
+def _sampled(c, psi_r, hankel, what):
+    """`_checked`'s values and sigma_min(C Psi_r)."""
+    c, psi_r, p, r, hankel = _checked(c, psi_r, hankel, what)
+    return c, psi_r, p, r, hankel, _smin(c @ psi_r, "C Psi_r")
 
 
 def _state_error_bounds(c, psi_r, hankel, what):
     """The state error bound with the sqrt(p-r+1) pivot-growth constant, and
     with the looser sqrt(p) * 2^r restatement; sigma_min(C Psi_r) and the
-    norms are computed once for both."""
-    c, psi_r, p, r, smin = _sampled(c, psi_r, what)
-    tail = 2.0 * np.sum(np.asarray(hankel, dtype=float)[r:])
-    norms = np.sqrt(_gram_eigvalsh(c)[-1] * _gram_eigvalsh(psi_r)[-1])  # ||C|| ||Psi_r||
+    norms are computed once for both.
+
+    With p >= n, G = C* C gives ||C||_2^2 and, while it exceeds _GRAM_TOL
+    ||C||^2 ||Psi_r||^2, sigma_min(C Psi_r)^2 = lambda_min(Psi_r* G Psi_r);
+    judged against ||C|| ||Psi_r|| >= ||C Psi_r||, the squaring error stays
+    within that of `_smin`'s own Gram test."""
+    c, psi_r, p, r, hankel = _checked(c, psi_r, hankel, what)
+    tail = 2.0 * np.sum(hankel[r:])
+    psi2 = _gram_eigvalsh(psi_r, "Psi_r")[-1]
+    if p >= c.shape[1]:
+        gram = c.conj().T @ c
+        c2 = _finite_eigvalsh(gram, "C")[-1]
+        lam = _finite_eigvalsh(psi_r.conj().T @ gram @ psi_r, "C Psi_r")[0]
+    else:  # C* C would be n x n: C C* gives ||C||, C Psi_r sigma_min
+        c2, lam = _gram_eigvalsh(c, "C")[-1], 0.0
+    if lam > _GRAM_TOL * c2 * psi2:
+        smin = float(np.sqrt(lam))
+    else:
+        smin = _smin(c @ psi_r, "C Psi_r")
+    norms = np.sqrt(c2 * psi2)  # ||C|| ||Psi_r||
     return [float(norms / smin * growth * tail)
             for growth in (_growth_factor(p, r), np.sqrt(float(p)) * 2.0**r)]
 
@@ -239,22 +292,28 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None):
     The objective is log|C_hat W_hat_c C_hat*| with W_hat_c the rank-r
     balanced approximation Psi_r diag(sigma) Psi_r*.  When `gamma` is given,
     the achieved objective is computed and the bound checked against it
-    (NumericError if it exceeds it).
+    (NumericError if it exceeds it).  DimensionError under the input rules
+    of `sensor_state_error_bound`, or for a `gamma` index outside [0, p).
     """
     return _logdet_lower_bound(c, psi_r, hankel, gamma, "sensors")
 
 
 def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None):
-    """Dual guaranteed lower bound for the actuator log-det objective."""
+    """Dual guaranteed lower bound for the actuator log-det objective, with
+    the DimensionError rules of `sensor_logdet_lower_bound` on B*, Phi_r
+    and `beta`."""
     b = matkernel.as_matrix(b)
     return _logdet_lower_bound(b.conj().T, phi_r, hankel, beta, "actuators")
 
 
 def _logdet_lower_bound(c, psi_r, hankel, gamma, what):
-    c, psi_r, p, r, smin = _sampled(c, psi_r, what)
+    c, psi_r, p, r, hankel, smin = _sampled(c, psi_r, hankel, what)
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
-    bound = float(r * np.log(const) + np.sum(np.log(np.asarray(hankel, dtype=float)[:r])))
+    bound = float(r * np.log(const) + np.sum(np.log(hankel[:r])))
     if gamma is not None:
+        gamma = np.asarray(gamma)
+        if not ((gamma >= 0) & (gamma < p)).all():
+            raise DimensionError(f"selected {what} indices must lie in [0, {p})")
         achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma)
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
             raise NumericError(f"log-det lower bound {bound} exceeds achieved {achieved}")

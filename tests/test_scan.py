@@ -223,6 +223,61 @@ class TestGrammar:
             scan_reals([f"1e{big}"])
 
 
+class TestEightDigitRuns:
+    """Digits are read 8 at a time once a nonzero digit is in and the 8
+    still fit in the first 19; every value must stay float()'s."""
+
+    DIGITS = "1234567890" * 3
+    CUTS = [".", "e-3", ",", "#", " ", "\t", "\n", "\x1c"]
+
+    @pytest.mark.parametrize("first", [1, 11, 12])
+    def test_runs_starting_at_each_significant_count(self, first):
+        head = self.DIGITS[:first]
+        tails = [self.DIGITS[first:first + size] for size in range(0, 17)]
+        assert_as_float([head + t for t in tails] + [head + "." + t for t in tails]
+                        + ["-" + head + t + "e-20" for t in tails])
+
+    def test_across_the_19_digit_cap(self):
+        # 11 digits then 8 reach the cap exactly; the rest only move k
+        assert_as_float([self.DIGITS[:size] for size in range(17, 28)]
+                        + [self.DIGITS[:11] + "." + self.DIGITS[11:size] for size in range(17, 28)]
+                        + ["9" * size for size in range(17, 24)])
+
+    @pytest.mark.parametrize("length", range(2, 22))
+    def test_fewer_than_8_bytes_before_len(self, length):
+        # the digits past `length` must not be read
+        buf = self.DIGITS.encode()
+        n, out, stop = raw_scan(buf, 1, length)
+        assert (n, stop) == (1, length)
+        assert out[0] == float(buf[:length])
+
+    @pytest.mark.parametrize("cut", CUTS)
+    @pytest.mark.parametrize("offset", range(1, 8))
+    def test_cut_inside_the_8_bytes(self, cut, offset):
+        head = "9" + self.DIGITS[:offset - 1]  # the cut is byte `offset` after the 9
+        if cut == ",":
+            got = cli.read_matrix(f"matrix 1 1 complex\n{head},{self.DIGITS[:9]}\n")[0, 0]
+            assert got == complex(float(head), float(self.DIGITS[:9]))
+            return
+        text = f"matrix 1 2 real\n{head}{cut}{self.DIGITS[:9]}\n7\n"
+        if cut == "#":
+            want = [float(head), 7.0]
+        elif cut in (".", "e-3"):
+            want = [float(head + cut + self.DIGITS[:9]), 7.0]
+        else:
+            text = text.replace("\n7\n", "\n")
+            want = [float(head), float(self.DIGITS[:9])]
+        got = cli.read_matrix(text)[0]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("zeros", range(1, 10))
+    def test_leading_zeros_first(self, zeros):
+        run = "0" * zeros
+        assert_as_float([run + self.DIGITS[:size] for size in (1, 8, 9, 16, 19, 20)]
+                        + ["0." + run + self.DIGITS[:size] for size in (1, 8, 9, 16, 19, 20)]
+                        + [run + "." + run + self.DIGITS[:12]])
+
+
 # ------------------------------------------------------------------ build
 
 

@@ -359,6 +359,148 @@ class TestStateErrorBoundNorms:
         assert len(calls) == (1 if ratio == 1e-3 else 0)
 
 
+class TestStateBoundFromTheGramOfC:
+    """With p >= n the state bound reads ||C||_2 and sigma_min(C Psi_r) from
+    one C* C; below sigma_min = 1e-2 ||C|| ||Psi_r||, and for every p < n,
+    sigma_min comes from C Psi_r as before."""
+
+    @staticmethod
+    def _random(field, shape, rng):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field is complex else z
+
+    @staticmethod
+    def _parent(c, psi, hankel):
+        """The bound as computed before C* C served sigma_min: from C Psi_r."""
+        def gram_eigvalsh(mat):
+            tall = mat.shape[0] >= mat.shape[1]
+            return np.linalg.eigvalsh(mat.conj().T @ mat if tall else mat @ mat.conj().T)
+
+        cp = c @ psi
+        lam = gram_eigvalsh(cp)
+        if lam[0] > 1e-4 * lam[-1]:
+            smin = float(np.sqrt(lam[0]))
+        else:
+            smin = np.linalg.svd(cp if cp.shape[0] >= cp.shape[1] else cp.T, compute_uv=False)[-1]
+        p, r = c.shape[0], psi.shape[1]
+        tail = 2.0 * np.sum(hankel[r:])
+        norms = np.sqrt(gram_eigvalsh(c)[-1] * gram_eigvalsh(psi)[-1])
+        growth = np.sqrt(p - r + 1.0) * np.sqrt(4.0**r + 6.0 * r - 1.0) / 3.0
+        return float(norms / smin * growth * tail)
+
+    @staticmethod
+    def _count_smin(monkeypatch):
+        calls, smin = [], selection._smin
+        monkeypatch.setattr(selection, "_smin", lambda *a, **k: calls.append(a[1]) or smin(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_tall_matches_the_svd(self, field, monkeypatch):
+        rng = np.random.default_rng(93)
+        c, psi = self._random(field, (3000, 40), rng), self._random(field, (40, 20), rng)
+        hankel = np.geomspace(10.0, 1e-3, 40)
+        growth = np.sqrt(3000 - 20 + 1.0) * np.sqrt(4.0**20 + 6.0 * 20 - 1.0) / 3.0
+        tail = 2.0 * hankel[20:].sum()
+        svd = lambda m: np.linalg.svd(m, compute_uv=False)  # noqa: E731
+        want = svd(c)[0] * svd(psi)[0] / svd(c @ psi)[-1] * growth * tail
+        calls = self._count_smin(monkeypatch)
+        assert selection.sensor_state_error_bound(c, psi, hankel) == pytest.approx(want, rel=1e-12)
+        assert selection.actuator_state_error_bound(c.conj().T, psi, hankel) == pytest.approx(
+            want, rel=1e-12)
+        assert calls == []  # C Psi_r was never formed for sigma_min
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("case", ["psi_ill_conditioned", "c_large_off_psi", "p_below_n"])
+    def test_other_cases_unchanged_bit_for_bit(self, field, case, monkeypatch):
+        rng = np.random.default_rng(94)
+        hankel = np.geomspace(5.0, 1e-2, 40)
+        if case == "p_below_n":
+            c, psi = self._random(field, (10, 40), rng), self._random(field, (40, 5), rng)
+        else:
+            c, psi = self._random(field, (300, 40), rng), self._random(field, (40, 6), rng)
+            if case == "psi_ill_conditioned":  # sigma_min(C Psi_r) ~ 1e-6 ||C|| ||Psi_r||
+                u, _, vh = np.linalg.svd(psi, full_matrices=False)
+                psi = (u * np.geomspace(1.0, 1e-6, 6)) @ vh
+            else:  # ||C|| = 1e3 along a direction Psi_r does not reach
+                q = np.linalg.qr(np.concatenate([psi, self._random(field, (40, 1), rng)], 1))[0]
+                c = c + 1e3 * np.outer(self._random(field, 300, rng), q[:, -1].conj())
+        hn = np.linalg.norm(c, 2) * np.linalg.norm(psi, 2)
+        assert np.linalg.svd(c @ psi, compute_uv=False)[-1] < 1e-2 * hn or case == "p_below_n"
+        calls = self._count_smin(monkeypatch)
+        got = selection.sensor_state_error_bound(c, psi, hankel)
+        assert got == self._parent(c, psi, hankel)
+        assert calls == ["C Psi_r"]
+
+    def test_exactly_rank_deficient_still_raises(self):
+        rng = np.random.default_rng(95)
+        c, psi = rng.standard_normal((3000, 40)), rng.standard_normal((40, 20))
+        psi[:, -1] = 0.0  # the SVD finds exactly zero
+        with pytest.raises(RankError, match="^numerically rank-deficient C Psi_r$"):
+            selection.sensor_state_error_bound(c, psi, np.ones(40))
+
+
+class TestBoundInputErrors:
+    """Input the bounds cannot use is a DimensionError, never a LinAlgError,
+    an IndexError, matmul's ValueError or a silently wrong number."""
+
+    RNG = np.random.default_rng(96)
+    C = RNG.standard_normal((30, 8))
+    MODES = RNG.standard_normal((8, 3))
+    HANKEL = np.array([4.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.01])
+
+    @classmethod
+    def _bounds(cls, c, modes, hankel):
+        """Each bound family on both sides."""
+        return [
+            lambda: selection.sensor_state_error_bound(c, modes, hankel),
+            lambda: selection.actuator_state_error_bound(c.T, modes, hankel),
+            lambda: selection.sensor_logdet_lower_bound(c, modes, hankel),
+            lambda: selection.actuator_logdet_lower_bound(c.T, modes, hankel),
+        ]
+
+    def _raise_dimension_error(self, calls, match):
+        for call in calls:
+            with pytest.raises(DimensionError, match=match):
+                call()
+
+    @pytest.mark.parametrize("where", ["nan_in_c", "inf_in_modes"])
+    def test_non_finite_data(self, where):
+        c, modes = self.C.copy(), self.MODES.copy()
+        if where == "nan_in_c":
+            c[4, 2] = np.nan
+        else:
+            modes[1, 1] = np.inf
+        calls = self._bounds(c, modes, self.HANKEL) + [
+            lambda: selection.select_sensors(c, modes),
+            lambda: selection.pivot_inverse_norm_bound(c @ modes),
+        ]
+        with np.errstate(invalid="ignore"):
+            self._raise_dimension_error(calls, "is not finite")
+
+    def test_fewer_hankel_values_than_the_rank(self):
+        self._raise_dimension_error(self._bounds(self.C, self.MODES, self.HANKEL[:2]),
+                                    "at least r=3 Hankel singular values")
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_nan_or_negative_hankel_values(self, bad):
+        for k in (1, 5):  # inside the r kept values and in the tail
+            hankel = self.HANKEL.copy()
+            hankel[k] = bad
+            self._raise_dimension_error(self._bounds(self.C, self.MODES, hankel),
+                                        "finite and non-negative")
+
+    @pytest.mark.parametrize("index", [30, 31, -1])
+    def test_selected_index_outside_the_candidates(self, index):
+        for call in (selection.sensor_logdet_lower_bound, selection.actuator_logdet_lower_bound):
+            c = self.C if call is selection.sensor_logdet_lower_bound else self.C.T
+            with pytest.raises(DimensionError, match=r"indices must lie in \[0, 30\)"):
+                call(c, self.MODES, self.HANKEL, [0, index, 2])
+
+    def test_modes_of_the_wrong_height(self):
+        self._raise_dimension_error(self._bounds(self.C, self.MODES[:7], self.HANKEL),
+                                    "modes have 7 rows, but .* has 8 columns")
+
+
 class TestGreedyVolume:
     def test_one_step_swap_optimality(self):
         rng = np.random.default_rng(75)
