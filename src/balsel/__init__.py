@@ -21,7 +21,6 @@ from .evaluation import (
 from .gramian import (
     GramianPair,
     compute_gramians,
-    empirical_gramians,
     solve_care,
     solve_lyapunov_continuous,
     solve_stein,
@@ -62,10 +61,8 @@ from .statespace import (
     h2_norm_frequency,
     h2_norm_gramian,
     hinf_estimate,
-    impulse_snapshots,
     is_stable,
     log_grid,
-    transfer_eval,
 )
 
 __version__ = "0.1.0"

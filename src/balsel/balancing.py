@@ -1,8 +1,8 @@
 """Square-root balanced truncation.
 
 Each gramian is factored as W = L L* by one rank-revealing pivoted
-Cholesky (`matkernel._psd_factor`), which takes definite exact gramians
-and semidefinite ones (empirical, or exact at the rounding floor) alike.
+Cholesky (`matkernel._psd_factor`), which takes definite gramians and
+those semidefinite at the rounding floor alike.
 The product of the factors is SVD'd, and the direct/adjoint mode matrices
 are assembled so that both transformed gramians equal diag(sigma) without
 ever forming the product W_c W_o explicitly.

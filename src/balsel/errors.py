@@ -33,10 +33,6 @@ class SynthesisError(BalselError, RuntimeError):
     """Controller synthesis failed (no stabilizing Riccati solution)."""
 
 
-class HorizonError(BalselError, ValueError):
-    """Snapshot horizon too short for an empirical gramian."""
-
-
 class NumericError(BalselError, RuntimeError):
     """An internal numerical contract was violated (non-convergence etc.)."""
 

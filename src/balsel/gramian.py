@@ -1,4 +1,4 @@
-"""Exact and empirical gramians; Lyapunov, Stein and Riccati solvers.
+"""Exact gramians; Lyapunov, Stein and Riccati solvers.
 
 One doubling loop, `_doubling`, serves the Stein and the Riccati equation
 with numpy GEMMs and solves alone.  It owns the step budget, the stop once
@@ -31,7 +31,6 @@ which raises the synthesis errors.  Either Riccati answer takes one Newton
 step, a Lyapunov solve by `_solve`, when its residual still warrants it.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from scipy.linalg import lapack
 from . import matkernel, statespace
 from .errors import (
     DimensionError,
-    HorizonError,
     IllPosedError,
     NumericError,
     SynthesisError,
@@ -54,7 +52,6 @@ __all__ = [
     "solve_lyapunov_continuous",
     "solve_stein",
     "compute_gramians",
-    "empirical_gramians",
     "solve_care",
     "lyapunov_residual",
     "stein_residual",
@@ -367,49 +364,6 @@ def compute_gramians(m):
     (w_c, err_c), (w_o, err_o) = _solve(m.a, m.b @ m.b.conj().T, m.c.conj().T @ m.c,
                                         discrete=m.time_domain == statespace.DISCRETE)
     return GramianPair(w_c, w_o, err_c, err_o)
-
-
-# Relative norm of the last snapshot block (to the first) above which
-# `empirical_gramians` warns, and above which it raises HorizonError.
-_DECAY_WARN = 1e-6
-_DECAY_MAX = 1e-3
-
-
-def empirical_gramians(direct, adjoint, weights):
-    """Quadrature gramians from impulse-response snapshot blocks.
-
-    The snapshot blocks come from `statespace.impulse_snapshots`.  The final
-    block must have decayed relative to the initial one: below `_DECAY_MAX`
-    relative norm is required (HorizonError otherwise), below `_DECAY_WARN`
-    is expected (a warning is emitted in between).  The residuals are nan.
-    """
-    direct = matkernel.as_matrix(direct)
-    adjoint = matkernel.as_matrix(adjoint)
-    weights = np.asarray(weights, dtype=float)
-    steps = weights.size
-    if direct.shape[1] % steps or adjoint.shape[1] % steps:
-        raise DimensionError("snapshot count inconsistent with weights")
-    q = direct.shape[1] // steps
-    p = adjoint.shape[1] // steps
-
-    for name, x, width in (("direct", direct, q), ("adjoint", adjoint, p)):
-        first = np.linalg.norm(x[:, :width])
-        last = np.linalg.norm(x[:, -width:])
-        if first > 0 and last > _DECAY_MAX * first:
-            raise HorizonError(
-                f"{name} snapshots decayed only to {last / first:.2e} of the "
-                f"initial norm; lengthen the horizon"
-            )
-        if first > 0 and last > _DECAY_WARN * first:
-            warnings.warn(
-                f"{name} snapshot horizon is marginal "
-                f"(relative final norm {last / first:.2e})",
-                stacklevel=2,
-            )
-
-    w_c = (direct * np.repeat(weights, q)) @ direct.conj().T
-    w_o = (adjoint * np.repeat(weights, p)) @ adjoint.conj().T
-    return GramianPair(_hermitize(w_c), _hermitize(w_o), np.nan, np.nan)
 
 
 def _care_terms(a, b, q, r, x):

@@ -306,7 +306,7 @@ def _one_lapack_thread():
 
 @dataclass
 class SchurForm:
-    """A = U T U* with T upper triangular; unpacks as `u, t = schur(a)`.
+    """A = U T U* with T upper triangular, read as `form.u` and `form.t`.
 
     For complex A, `v` is U itself.  For real A, `v` holds the real
     orthogonal vectors V of the real Schur form R = V^T A V, and U = V Z,
@@ -327,12 +327,6 @@ class SchurForm:
         u = self.v.astype(np.complex128)
         _pair_rows(u.T, self.pairs, self.rot.transpose(0, 2, 1))  # (V Z)^T = Z^T V^T
         return u
-
-    def __iter__(self):
-        return iter((self.u, self.t))
-
-    def __getitem__(self, i):
-        return (self.u, self.t)[i]
 
     def fold(self, x):
         """Z* X Z; a complex X is overwritten, a real one copied."""

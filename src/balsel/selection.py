@@ -72,10 +72,6 @@ class ProjectionOperator:
     sampler: np.ndarray
     sampled_rows: np.ndarray
 
-    @property
-    def condition(self):
-        return float(np.linalg.cond(self.sampled_rows))
-
 
 def _finite_eigvalsh(gram, what):
     """Ascending eigenvalues of the Hermitian `gram` of `what`; DimensionError
@@ -145,31 +141,20 @@ def select_actuators(b, phi_r):
     return _pivots(pb, pb.shape[0], "actuators")
 
 
-def select_noncollocated(
-    c, b, psi_r, phi_r, sensor_locations=None, actuator_locations=None
-):
-    """Select actuators first, then sensors excluding actuator locations.
-
-    Location maps translate actuator/sensor indices to shared spatial
-    location ids (identity by default, covering the pointwise B = C = I
-    case).  Sensor candidates whose location coincides with a chosen
-    actuator are skipped by the pivoting but still orthogonalized, so the
-    sensor factorization stays valid.
-    """
+def select_noncollocated(c, b, psi_r, phi_r):
+    """Select actuators first, then sensors other than those with a chosen
+    actuator's index (sensor i and actuator i share a location, as for
+    B = C = I; an actuator index at or above p excludes none).  Excluded
+    sensors are still orthogonalized, so the sensor factorization stays
+    valid."""
     cp = matkernel.as_matrix(c) @ matkernel.as_matrix(psi_r)
     beta, r_diag_b = select_actuators(b, phi_r)
-    if sensor_locations is None:
-        sensor_locations = np.arange(cp.shape[0])
-    sensor_locations = np.asarray(sensor_locations)
-    taken = beta if actuator_locations is None else np.asarray(actuator_locations)[beta]
-    forbidden = np.flatnonzero(np.isin(sensor_locations, taken))
-    gamma, r_diag_s = _pivots(cp.conj().T, cp.shape[1], "sensors", forbidden)
+    gamma, r_diag_s = _pivots(cp.conj().T, cp.shape[1], "sensors", beta[beta < cp.shape[0]])
     return SelectionResult(gamma, beta, r_diag_s, r_diag_b)
 
 
 def select_subsets(c, b, psi_r, phi_r, no_collocate=False):
-    """Select both index sets; with `no_collocate`, by `select_noncollocated`
-    on the identity location maps."""
+    """Select both index sets; with `no_collocate`, by `select_noncollocated`."""
     if no_collocate:
         return select_noncollocated(c, b, psi_r, phi_r)
     gamma, rd_s = select_sensors(c, psi_r)
@@ -177,20 +162,24 @@ def select_subsets(c, b, psi_r, phi_r, no_collocate=False):
     return SelectionResult(gamma, beta, rd_s, rd_a)
 
 
-def _projection(basis, sampler):
-    basis = matkernel.as_matrix(basis)
-    return ProjectionOperator(basis=basis, sampler=sampler, sampled_rows=sampler @ basis)
+def _projection(c, psi_r, gamma, what):
+    c, psi_r, p, r, _ = _checked(c, psi_r, what)
+    sampler = c[_indices(gamma, p, r, what), :]
+    return ProjectionOperator(basis=psi_r, sampler=sampler, sampled_rows=sampler @ psi_r)
 
 
 def sensor_projection(c, psi_r, gamma):
-    """Interpolation projector Psi_r (C_hat Psi_r)^{-1} C_hat onto span(Psi_r)."""
-    return _projection(psi_r, matkernel.as_matrix(c)[np.asarray(gamma), :])
+    """Interpolation projector Psi_r (C_hat Psi_r)^{-1} C_hat onto span(Psi_r).
+
+    DimensionError unless Psi_r has a row per column of C, C has at least r
+    rows and `gamma` holds r integer indices in [0, p)."""
+    return _projection(c, psi_r, gamma, "sensors")
 
 
 def actuator_projection(b, phi_r, beta):
-    """Dual projector Phi_r (B_hat* Phi_r)^{-1} B_hat* onto span(Phi_r)."""
-    sampler = matkernel.as_matrix(b)[:, np.asarray(beta)].conj().T
-    return _projection(phi_r, sampler)
+    """Dual projector Phi_r (B_hat* Phi_r)^{-1} B_hat* onto span(Phi_r), with
+    the DimensionError rules of `sensor_projection` on B*, Phi_r and `beta`."""
+    return _projection(matkernel.as_matrix(b).conj().T, phi_r, beta, "actuators")
 
 
 def project_state(op, x):
@@ -234,8 +223,19 @@ def actuator_state_error_bound(b, phi_r, hankel):
     return _state_error_bounds(b.conj().T, phi_r, hankel, "actuators")[0]
 
 
-def _checked(c, psi_r, hankel, what):
-    """C, Psi_r, p, r and the Hankel values for a bound on p >= r candidates;
+def _indices(indices, p, r, what):
+    """`indices` as an array; DimensionError unless they are r integers in
+    [0, p) (numpy would read a negative one from the end)."""
+    idx = np.asarray(indices)
+    if idx.shape != (r,) or idx.dtype.kind not in "iu":
+        raise DimensionError(f"selected {what} indices must be r={r} integers")
+    if not ((idx >= 0) & (idx < p)).all():
+        raise DimensionError(f"selected {what} indices must lie in [0, {p})")
+    return idx
+
+
+def _checked(c, psi_r, what, hankel=None):
+    """C, Psi_r, p, r and the Hankel values, if given, for p >= r candidates;
     DimensionError unless Psi_r has a row per column of C and the Hankel
     values are at least r finite, non-negative numbers."""
     c, psi_r = matkernel.as_matrix(c), matkernel.as_matrix(psi_r)
@@ -245,17 +245,18 @@ def _checked(c, psi_r, hankel, what):
             f"modes have {psi_r.shape[0]} rows, but the {what}' candidate matrix "
             f"has {c.shape[1]} columns")
     _check_candidates(p, r, what)
-    hankel = np.asarray(hankel, dtype=float)
-    if hankel.ndim != 1 or hankel.size < r:
-        raise DimensionError(f"need a vector of at least r={r} Hankel singular values")
-    if not (np.isfinite(hankel).all() and (hankel >= 0).all()):
-        raise DimensionError("Hankel singular values must be finite and non-negative")
+    if hankel is not None:
+        hankel = np.asarray(hankel, dtype=float)
+        if hankel.ndim != 1 or hankel.size < r:
+            raise DimensionError(f"need a vector of at least r={r} Hankel singular values")
+        if not (np.isfinite(hankel).all() and (hankel >= 0).all()):
+            raise DimensionError("Hankel singular values must be finite and non-negative")
     return c, psi_r, p, r, hankel
 
 
 def _sampled(c, psi_r, hankel, what):
     """`_checked`'s values and sigma_min(C Psi_r)."""
-    c, psi_r, p, r, hankel = _checked(c, psi_r, hankel, what)
+    c, psi_r, p, r, hankel = _checked(c, psi_r, what, hankel)
     return c, psi_r, p, r, hankel, _smin(c @ psi_r, "C Psi_r")
 
 
@@ -268,7 +269,7 @@ def _state_error_bounds(c, psi_r, hankel, what):
     ||C||^2 ||Psi_r||^2, sigma_min(C Psi_r)^2 = lambda_min(Psi_r* G Psi_r);
     judged against ||C|| ||Psi_r|| >= ||C Psi_r||, the squaring error stays
     within that of `_smin`'s own Gram test."""
-    c, psi_r, p, r, hankel = _checked(c, psi_r, hankel, what)
+    c, psi_r, p, r, hankel = _checked(c, psi_r, what, hankel)
     tail = 2.0 * np.sum(hankel[r:])
     psi2 = _gram_eigvalsh(psi_r, "Psi_r")[-1]
     if p >= c.shape[1]:
@@ -293,7 +294,8 @@ def sensor_logdet_lower_bound(c, psi_r, hankel, gamma=None):
     balanced approximation Psi_r diag(sigma) Psi_r*.  When `gamma` is given,
     the achieved objective is computed and the bound checked against it
     (NumericError if it exceeds it).  DimensionError under the input rules
-    of `sensor_state_error_bound`, or for a `gamma` index outside [0, p).
+    of `sensor_state_error_bound`, or unless `gamma` holds r integer
+    indices in [0, p).
     """
     return _logdet_lower_bound(c, psi_r, hankel, gamma, "sensors")
 
@@ -311,10 +313,7 @@ def _logdet_lower_bound(c, psi_r, hankel, gamma, what):
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(hankel[:r])))
     if gamma is not None:
-        gamma = np.asarray(gamma)
-        if not ((gamma >= 0) & (gamma < p)).all():
-            raise DimensionError(f"selected {what} indices must lie in [0, {p})")
-        achieved = achieved_rank_r_logdet(c, psi_r, hankel, gamma)
+        achieved = achieved_rank_r_logdet(c, psi_r, hankel, _indices(gamma, p, r, what))
         if bound > achieved + 1e-9 * max(1.0, abs(achieved)):
             raise NumericError(f"log-det lower bound {bound} exceeds achieved {achieved}")
     return bound

@@ -1,9 +1,11 @@
 """State-space models, stability, norms and responses.
 
 Models are (A, B, C) triples with no feedthrough, tagged continuous or
-discrete.  Transfer functions are evaluated by linear solves, never by
-forming an explicit inverse; discrete models are evaluated on the unit
-circle z = e^{j theta}.
+discrete.  Every frequency response (the H2 quadrature, the H-infinity
+estimate, `models.lqg_gain_grid`) comes from one private kernel,
+`_responses`, which evaluates the transfer function by linear solves,
+never by forming an explicit inverse; discrete models are evaluated on the
+unit circle z = e^{j theta}.
 """
 
 from dataclasses import dataclass
@@ -19,11 +21,9 @@ __all__ = [
     "FrequencyGrid",
     "log_grid",
     "is_stable",
-    "transfer_eval",
     "h2_norm_gramian",
     "h2_norm_frequency",
     "hinf_estimate",
-    "impulse_snapshots",
     "adjoint_model",
     "difference_model",
 ]
@@ -110,11 +110,6 @@ def _instability(lam, discrete):
         return "" if radius < 1.0 else f"spectral radius {radius:.6g} >= 1"
     abscissa = np.max(lam.real)
     return "" if abscissa < 0.0 else f"spectral abscissa {abscissa:.6g} >= 0"
-
-
-def transfer_eval(m, s):
-    """Evaluate G(s) = C (sI - A)^{-1} B by linear solve."""
-    return next(_responses(m, [s]))
 
 
 def _responses(m, points):
@@ -209,33 +204,6 @@ def hinf_estimate(m, grid=None):
         raise UnstableSystemError("H-infinity norm undefined for unstable systems")
     _, points = _nodes(m, log_grid() if grid is None else grid)
     return float(max(np.linalg.svd(g, compute_uv=False)[0] for g in _responses(m, points)))
-
-
-def impulse_snapshots(m, dt, steps):
-    """Impulse-response snapshots of the direct and adjoint systems.
-
-    Direct snapshots are e^{A k dt} B, adjoint snapshots e^{A* k dt} C*,
-    for k = 0..steps-1, returned as n x (q*steps) and n x (p*steps) block
-    matrices together with trapezoidal quadrature weights.  Continuous
-    models only.
-    """
-    if m.time_domain != CONTINUOUS:
-        raise DimensionError("impulse snapshots need a continuous-time model")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("need at least one snapshot")
-    if not is_stable(m):
-        raise UnstableSystemError("impulse snapshots require a stable system")
-    prop = sla.expm(m.a * dt)
-    direct, adjoint = [m.b], [m.c.conj().T]
-    for _ in range(steps - 1):
-        direct.append(prop @ direct[-1])
-        adjoint.append(prop.conj().T @ adjoint[-1])
-    weights = np.full(steps, dt)
-    if steps > 1:
-        weights[0] = weights[-1] = 0.5 * dt
-    return np.hstack(direct), np.hstack(adjoint), weights
 
 
 def adjoint_model(m):

@@ -6,7 +6,6 @@ from conftest import overflowing_a
 from balsel import gramian, matkernel, models, statespace
 from balsel.errors import (
     DimensionError,
-    HorizonError,
     IllPosedError,
     NumericError,
     SynthesisError,
@@ -566,35 +565,6 @@ class TestSolversPastTheLeaf:
         else:
             w = gramian.solve_stein(a, rhs)
             assert gramian.stein_residual(a, w, rhs) <= 1e-9
-
-
-class TestEmpiricalGramians:
-    def test_scalar_value_with_marginal_horizon_warning(self):
-        m = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
-        snaps = statespace.impulse_snapshots(m, 0.01, 1001)  # decay e^-10 ~ 4.5e-5
-        with pytest.warns(UserWarning):
-            g = gramian.empirical_gramians(*snaps)
-        assert g.w_c[0, 0].real == pytest.approx(0.5, abs=1e-3)
-
-    def test_zero_input_gives_zero(self):
-        m = StateSpaceModel([[-1.0]], [[0.0]], [[1.0]])
-        snaps = statespace.impulse_snapshots(m, 0.01, 2000)
-        g = gramian.empirical_gramians(*snaps)
-        np.testing.assert_allclose(g.w_c, 0.0)
-
-    def test_matches_exact_gramian(self):
-        m = StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]])
-        snaps = statespace.impulse_snapshots(m, 0.01, 2000)
-        g_emp = gramian.empirical_gramians(*snaps)
-        g = gramian.compute_gramians(m)
-        np.testing.assert_allclose(g_emp.w_c, g.w_c, atol=1e-3)
-        np.testing.assert_allclose(g_emp.w_o, g.w_o, atol=1e-3)
-
-    def test_insufficient_decay_raises(self):
-        m = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
-        snaps = statespace.impulse_snapshots(m, 0.01, 200)  # horizon T = 2
-        with pytest.raises(HorizonError):
-            gramian.empirical_gramians(*snaps)
 
 
 class TestCARE:

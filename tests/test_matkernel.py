@@ -170,8 +170,8 @@ class TestFactorizationResiduals:
             sig[: min(m, n), : min(m, n)] = np.diag(s)
             assert np.linalg.norm(a - u @ sig @ v.conj().T) <= 1e-9 * np.linalg.norm(a)
             sq = a[: min(m, n), : min(m, n)]
-            uu, t = matkernel.schur(sq)
-            assert np.linalg.norm(sq - uu @ t @ uu.conj().T) <= 1e-9 * max(
+            form = matkernel.schur(sq)
+            assert np.linalg.norm(sq - form.u @ form.t @ form.u.conj().T) <= 1e-9 * max(
                 np.linalg.norm(sq), 1e-300
             )
 
@@ -215,19 +215,20 @@ class TestSVD:
 
 class TestSchur:
     def test_diagonal(self):
-        u, t = matkernel.schur(np.diag([-1.0, -2.0]))
+        t = matkernel.schur(np.diag([-1.0, -2.0])).t
         np.testing.assert_allclose(np.triu(t, 1), 0.0, atol=1e-14)
         np.testing.assert_allclose(sorted(np.diag(t).real), [-2.0, -1.0])
 
     def test_rotation_eigenvalues(self):
-        _, t = matkernel.schur([[0.0, 1.0], [-1.0, 0.0]])
+        t = matkernel.schur([[0.0, 1.0], [-1.0, 0.0]]).t
         np.testing.assert_allclose(sorted(np.diag(t).imag), [-1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(np.diag(t).real, 0.0, atol=1e-12)
 
     def test_random_residual(self):
         rng = np.random.default_rng(9)
         a = random_complex(rng, 10, 10)
-        u, t = matkernel.schur(a)
+        form = matkernel.schur(a)
+        u, t = form.u, form.t
         assert np.linalg.norm(a @ u - u @ t) <= 1e-9 * np.linalg.norm(a)
         assert np.linalg.norm(np.tril(t, -1)) <= 1e-12 * np.linalg.norm(a)
 
@@ -243,7 +244,8 @@ class TestSchur:
     def test_real_input(self, a):
         # real Schur form split into 1x1 blocks by rsf2csf: the triangular
         # factor must be exactly upper triangular, as for complex input
-        u, t = matkernel.schur(a)
+        form = matkernel.schur(a)
+        u, t = form.u, form.t
         assert u.dtype == t.dtype == np.complex128
         assert not np.any(np.tril(t, -1))
         n = a.shape[0]
@@ -252,7 +254,7 @@ class TestSchur:
 
     def test_random_real_input_has_conjugate_pairs(self):
         a = np.random.default_rng(11).standard_normal((40, 40))
-        lam = np.diag(matkernel.schur(a)[1])
+        lam = np.diag(matkernel.schur(a).t)
         assert np.sum(np.abs(lam.imag) > 1e-8) >= 2
         # every eigenvalue (both members of each pair) is on the diagonal
         ref = np.linalg.eigvals(a)
@@ -317,7 +319,7 @@ class TestFold:
         np.testing.assert_allclose(form.unfold(form.fold(x)), x, atol=1e-14 * np.abs(x).max())
         adj = form.adjoint()
         np.testing.assert_allclose(adj.u, form.u[:, ::-1], atol=1e-15)
-        u, t = adj
+        u, t = adj.u, adj.t
         assert not np.any(np.tril(t, -1))
         assert np.linalg.norm(u @ t @ u.conj().T - a.T) <= 1e-13 * np.linalg.norm(a)
 

@@ -227,11 +227,13 @@ class TestGainGrid:
         )
         grid = statespace.FrequencyGrid(np.array([0.5, 2.0]))
         gains, gs, bs = models.lqg_gain_grid(ctl, [0], [0], grid, np.array([0.0]))
+        # closed form: both Riccati equations read 1 - 2x - x^2 = 0, so
+        # F = L = sqrt(2) - 1, a_K = -1 - F - L, and the controller's gain
+        # is F L / |j omega - a_K|
+        f = np.sqrt(2.0) - 1.0
         for i, omega in enumerate(grid.points):
-            ref = statespace.transfer_eval(ctl.controller_model, 1j * omega)
-            assert gains[i, 0, 0] == pytest.approx(
-                20 * np.log10(abs(ref[0, 0])), rel=1e-9
-            )
+            ref = f * f / abs(1j * omega + 1.0 + 2.0 * f)
+            assert gains[i, 0, 0] == pytest.approx(20 * np.log10(ref), rel=1e-9)
 
     def test_frequency_on_a_controller_eigenvalue_raises(self):
         # A_K has eigenvalues +-j, so the grid point omega = 1 is singular

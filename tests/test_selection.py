@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from balsel import balancing, evaluation, gramian, selection
+from balsel import balancing, evaluation, gramian, matkernel, selection
 from balsel.errors import DimensionError, FeasibilityError, NumericError, RankError
 from balsel.models import random_stable_system
 from balsel.statespace import StateSpaceModel
@@ -127,38 +127,26 @@ class TestSelectNoncollocated:
         with pytest.raises(FeasibilityError):
             selection.select_noncollocated(m.c, m.b, bal.psi_r, bal.phi_r)
 
-    def test_location_maps(self):
-        m, grams, bal = balanced_system(seed=66, r=2)
-        # map all actuators to location 0: only sensor location 0 is excluded
-        act_loc = np.zeros(8, dtype=int)
-        sel = selection.select_noncollocated(
-            m.c, m.b, bal.psi_r, bal.phi_r, actuator_locations=act_loc
-        )
-        assert 0 not in sel.gamma.tolist()
+    def test_actuators_past_the_sensors_exclude_none(self):
+        # q > p: both chosen actuators, [6, 4], have no sensor of their index
+        m = random_stable_system(8, 4, 7, 2)
+        bal = balancing.balance(gramian.compute_gramians(m), 2)
+        sel = selection.select_noncollocated(m.c, m.b, bal.psi_r, bal.phi_r)
+        assert sel.beta.tolist() == [6, 4]
+        gamma, r_diag = selection.select_sensors(m.c, bal.psi_r)
+        assert sel.gamma.tolist() == gamma.tolist()
+        np.testing.assert_array_equal(sel.r_diag_sensors, r_diag)
 
-
-    def test_both_location_maps(self):
-        m = symmetric_system()
-        grams = gramian.compute_gramians(m)
-        bal = balancing.balance(grams, 3)
-        plain = selection.select_subsets(m.c, m.b, bal.psi_r, bal.phi_r)
-        assert plain.gamma[0] in plain.beta
-        # the first sensor sits at location 99, where no actuator is: it
-        # stays selectable although its index is a chosen actuator's
-        sensor_loc = np.arange(7)
-        sensor_loc[plain.gamma[0]] = 99
-        act_loc = np.arange(7)
-        sel = selection.select_noncollocated(
-            m.c,
-            m.b,
-            bal.psi_r,
-            bal.phi_r,
-            sensor_locations=sensor_loc,
-            actuator_locations=act_loc,
-        )
-        assert sel.beta.tolist() == plain.beta.tolist()
-        assert sel.gamma[0] == plain.gamma[0]
-        assert not set(sensor_loc[sel.gamma].tolist()) & set(act_loc[sel.beta].tolist())
+    def test_mixed_actuators_exclude_exactly_the_sensors_below_p(self):
+        # beta = [6, 0] on p = 4 sensors: sensor 0 alone is excluded
+        m = random_stable_system(8, 4, 7, 7)
+        bal = balancing.balance(gramian.compute_gramians(m), 2)
+        sel = selection.select_noncollocated(m.c, m.b, bal.psi_r, bal.phi_r)
+        assert sel.beta.tolist() == [6, 0]
+        assert 0 in selection.select_sensors(m.c, bal.psi_r)[0].tolist()
+        fac = matkernel.pivoted_qr((m.c @ bal.psi_r).conj().T, [0], max_pivots=2)
+        assert sel.gamma.tolist() == fac.pivot_order[:2].tolist()
+        np.testing.assert_array_equal(sel.r_diag_sensors, fac.r_diagonal[:2])
 
 
 class TestProjection:
@@ -283,7 +271,8 @@ class TestBounds:
 
 
 class TestBoundsNeedCandidates:
-    """Fewer candidates than the rank: every bound raises, none returns nan."""
+    """Fewer candidates than the rank: every bound and projector raises,
+    none returns nan."""
 
     RNG = np.random.default_rng(90)
     MODES = RNG.standard_normal((6, 3))
@@ -298,8 +287,11 @@ class TestBoundsNeedCandidates:
             (lambda t: selection.actuator_state_error_bound(t.FEW.T, t.MODES, t.HANKEL), "actuators"),
             (lambda t: selection.sensor_logdet_lower_bound(t.FEW, t.MODES, t.HANKEL), "sensors"),
             (lambda t: selection.actuator_logdet_lower_bound(t.FEW.T, t.MODES, t.HANKEL), "actuators"),
+            (lambda t: selection.sensor_projection(t.FEW, t.MODES, [0, 1, 1]), "sensors"),
+            (lambda t: selection.actuator_projection(t.FEW.T, t.MODES, [0, 1, 1]), "actuators"),
         ],
-        ids=["pivot_inverse_norm", "sensor_state", "actuator_state", "sensor_logdet", "actuator_logdet"],
+        ids=["pivot_inverse_norm", "sensor_state", "actuator_state", "sensor_logdet", "actuator_logdet",
+             "sensor_projection", "actuator_projection"],
     )
     def test_raises_dimension_error(self, call, what):
         with pytest.raises(DimensionError, match=f"need at least r=3 candidate {what}, have 2"):
@@ -500,13 +492,36 @@ class TestBoundInputErrors:
         self._raise_dimension_error(self._bounds(self.C, self.MODES[:7], self.HANKEL),
                                     "modes have 7 rows, but .* has 8 columns")
 
+    @pytest.mark.parametrize("indices", [[0, 1.0, 2], [0, 1]], ids=["float", "two"])
+    def test_selected_indices_not_r_integers(self, indices):
+        for call in (selection.sensor_logdet_lower_bound, selection.actuator_logdet_lower_bound):
+            c = self.C if call is selection.sensor_logdet_lower_bound else self.C.T
+            with pytest.raises(DimensionError, match="must be r=3 integers"):
+                call(c, self.MODES, self.HANKEL, indices)
+
+    @pytest.mark.parametrize(
+        "modes_rows, indices, match",
+        [
+            (8, [0, 30, 2], r"indices must lie in \[0, 30\)"),
+            (8, [0, -1, 2], r"indices must lie in \[0, 30\)"),
+            (8, [0, 1.0, 2], "must be r=3 integers"),
+            (8, [0, 1], "must be r=3 integers"),
+            (7, [0, 1, 2], "modes have 7 rows, but .* has 8 columns"),
+        ],
+        ids=["index_30", "index_-1", "float_index", "two_indices", "short_modes"],
+    )
+    def test_projection_input(self, modes_rows, indices, match):
+        modes = self.MODES[:modes_rows]
+        self._raise_dimension_error(
+            [lambda: selection.sensor_projection(self.C, modes, indices),
+             lambda: selection.actuator_projection(self.C.T, modes, indices)],
+            match)
+
 
 class TestGreedyVolume:
     def test_one_step_swap_optimality(self):
         rng = np.random.default_rng(75)
         v = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        from balsel import matkernel
-
         fac = matkernel.pivoted_qr(v)
         chosen = fac.pivot_order[:4].tolist()
 

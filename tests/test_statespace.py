@@ -65,28 +65,30 @@ class TestIsStable:
 
 
 class TestTransferEval:
+    """G(s) = C (sI - A)^{-1} B from `_responses`, the kernel of every
+    frequency response."""
+
     def test_scalar_dc(self):
-        np.testing.assert_allclose(statespace.transfer_eval(scalar_model(), 0.0), [[1.0]])
+        [g] = statespace._responses(scalar_model(), [0.0])
+        np.testing.assert_allclose(g, [[1.0]])
 
     def test_scalar_imaginary(self):
-        g = statespace.transfer_eval(scalar_model(), 1j)
+        [g] = statespace._responses(scalar_model(), [1j])
         np.testing.assert_allclose(g, [[0.5 - 0.5j]], rtol=1e-12)
 
     def test_mimo_diag(self):
         m = StateSpaceModel(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
-        np.testing.assert_allclose(
-            statespace.transfer_eval(m, 0.0), np.diag([1.0, 0.5]), atol=1e-14
-        )
+        [g] = statespace._responses(m, [0.0])
+        np.testing.assert_allclose(g, np.diag([1.0, 0.5]), atol=1e-14)
 
     def test_eigenvalue_singularity(self):
         with pytest.raises(SingularMatrixError):
-            statespace.transfer_eval(scalar_model(), -1.0)
+            list(statespace._responses(scalar_model(), [-1.0]))
 
     def test_conjugate_symmetry_real_model(self):
         m = random_stable_system(6, 2, 3, seed=2)
         s = 0.3 + 1.7j
-        g1 = statespace.transfer_eval(m, s)
-        g2 = statespace.transfer_eval(m, np.conj(s))
+        g1, g2 = statespace._responses(m, [s, np.conj(s)])
         np.testing.assert_allclose(g1, np.conj(g2), rtol=1e-10)
 
 
@@ -296,33 +298,6 @@ class TestH2GramianMemory:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
         assert h2 == pytest.approx(np.sqrt(np.trace(m.c @ w.w_c @ m.c.T)), rel=1e-12)
-
-
-class TestImpulseSnapshots:
-    def test_scalar_decay_snapshot(self):
-        m = scalar_model()
-        direct, adjoint, w = statespace.impulse_snapshots(m, 1.0, 3)
-        assert direct[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-9)
-        assert adjoint[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-9)
-        np.testing.assert_allclose(w, [0.5, 1.0, 0.5])
-
-    def test_single_step_is_b_and_cstar(self):
-        m = two_state_model()
-        direct, adjoint, w = statespace.impulse_snapshots(m, 0.7, 1)
-        np.testing.assert_allclose(direct, m.b)
-        np.testing.assert_allclose(adjoint, m.c.conj().T)
-        np.testing.assert_allclose(w, [0.7])
-
-    def test_empirical_integral_value(self):
-        m = scalar_model()
-        direct, adjoint, w = statespace.impulse_snapshots(m, 0.01, 2000)
-        wc = (direct * w) @ direct.conj().T
-        assert wc[0, 0].real == pytest.approx(0.5, abs=1e-3)
-
-    def test_discrete_model_rejected(self):
-        m = StateSpaceModel(np.diag([-0.5, -0.3]), np.ones((2, 1)), np.ones((1, 2)), "discrete")
-        with pytest.raises(DimensionError, match="continuous"):
-            statespace.impulse_snapshots(m, 1.0, 10)
 
 
 class TestDifferenceModel:
