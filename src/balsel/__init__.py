@@ -25,7 +25,7 @@ from .gramian import (
     solve_lyapunov_continuous,
     solve_stein,
 )
-from .matkernel import PivotedQR, SchurForm, logdet_abs, pivoted_qr, schur, svd
+from .matkernel import PivotedQR, SchurForm, pivoted_qr, schur, svd
 from .models import (
     GinzburgLandauParams,
     LQGController,

@@ -50,9 +50,10 @@ class ReducedModel:
 def balance(w, r):
     """Square-root balancing of a GramianPair, truncated at rank r.
 
-    Raises RankError (naming the largest admissible rank) when sigma_r is
-    below 1e-12 * sigma_1, i.e. the requested rank crosses the numerical
-    rank of the Hankel spectrum.
+    Raises RankError for an r that is not an integer in [1, n], and
+    (naming the largest admissible rank) when sigma_r is below
+    1e-12 * sigma_1, i.e. the requested rank crosses the numerical rank of
+    the Hankel spectrum.
     """
     return _truncated(_factored(w), r)
 
@@ -68,7 +69,7 @@ def _factored(w):
 def _truncated(factored, r):
     """The rank-r half of `balance` on the output of `_factored`."""
     l_c, l_o, u, hankel, v = factored
-    n = l_c.shape[0]
+    n, r = l_c.shape[0], matkernel._integer(r, RankError, "rank")
     if not 1 <= r <= n:
         raise RankError(f"rank must be between 1 and {n}, got {r}")
     if hankel[r - 1] <= 1e-12 * hankel[0]:
@@ -107,8 +108,9 @@ def truncate(m, bal):
 
 def truncation_error_bound(hankel, r):
     """Twice the tail sum of the Hankel singular values, 2 sum_{i>r} sigma_i,
-    for 0 <= r <= the number of values (RankError otherwise)."""
+    for an integer 0 <= r <= the number of values (RankError otherwise)."""
     hankel = np.asarray(hankel, dtype=float)
+    r = matkernel._integer(r, RankError, "rank")
     if r > hankel.size:
         raise RankError("rank exceeds number of Hankel values")
     if r < 0:

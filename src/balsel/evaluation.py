@@ -40,14 +40,31 @@ def logdet_objective(indices, gram):
     """log |principal submatrix| of the projected gramian at `indices`.
 
     Returns -inf for a singular submatrix.  Pass C W_c C* for sensors and
-    B* W_o B for actuators.
+    B* W_o B for actuators.  DimensionError unless `gram` is square and
+    `indices` is a 1-D array of integers in [0, p).
     """
-    return float(_subset_values(matkernel.as_matrix(gram), np.asarray(indices)[None], "logdet")[0])
+    return float(_subset_values(*_one_subset(indices, gram), "logdet")[0])
 
 
 def trace_objective(indices, gram):
-    """Trace of the principal submatrix (the H2-type objective)."""
-    return float(_subset_values(matkernel.as_matrix(gram), np.asarray(indices)[None], "trace")[0])
+    """Trace of the principal submatrix (the H2-type objective), with the
+    DimensionError rules of `logdet_objective`."""
+    return float(_subset_values(*_one_subset(indices, gram), "trace")[0])
+
+
+def _one_subset(indices, gram):
+    """The p x p `gram` and `indices` as a one-row index array for
+    `_subset_values`; DimensionError unless they fit."""
+    gram = matkernel.as_matrix(gram)
+    p = gram.shape[0]
+    if gram.shape != (p, p):
+        raise DimensionError(f"the projected gramian must be square, got shape {gram.shape}")
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise DimensionError("subset indices must be a 1-D array of integers")
+    if not ((idx >= 0) & (idx < p)).all():
+        raise DimensionError(f"subset indices must lie in [0, {p})")
+    return gram, idx[None]
 
 
 def _batched_logdets(gram, index_array):
@@ -74,8 +91,8 @@ def _subset_values(gram, index_array, metric):
 
 
 def _check_budget(budget, p):
-    """DimensionError unless 0 <= budget <= p."""
-    if not 0 <= budget <= p:
+    """DimensionError unless `budget` is an integer in [0, p]."""
+    if not 0 <= matkernel._integer(budget, DimensionError, "budget") <= p:
         raise DimensionError(f"budget must be between 0 and p = {p}, got {budget}")
 
 
@@ -86,7 +103,7 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
     (log-det or trace of the principal submatrix) for every subset in
     lexicographic order.  Raises EnumerationCapError if C(p, budget)
     exceeds `cap` (sample with `random_ensemble` instead), and
-    DimensionError for a budget outside [0, p].
+    DimensionError for a budget that is not an integer in [0, p].
     """
     if metric not in ("logdet", "trace"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -111,9 +128,10 @@ def brute_force(gram, budget, cap=DEFAULT_CAP, metric="logdet"):
 
 def random_ensemble(gram, budget, count, seed):
     """Log-dets of `count` uniform random index subsets (without replacement);
-    DimensionError for a budget outside [0, p]."""
-    if count < 1:
-        raise ValueError("need at least one sample")
+    DimensionError for a budget that is not an integer in [0, p] or a count
+    that is not a positive integer."""
+    if matkernel._integer(count, DimensionError, "count") < 1:
+        raise DimensionError("need at least one sample")
     gram = matkernel.as_matrix(gram)
     p = gram.shape[0]
     _check_budget(budget, p)
@@ -130,7 +148,8 @@ def rank_sweep(model, ranks, count=200, seed=0):
     For each rank r the QR selection uses rank-r balanced modes, and the
     combined objective (sensor log-det plus actuator log-det) is compared
     against `count` random sensor/actuator pairs.  Returns a list of dicts
-    with keys r, qr_value, samples, median, percentile.
+    with keys r, qr_value, samples, median, percentile.  RankError for a
+    rank that is not an integer in [1, n], as in `balance`.
     """
     return rank_sweeps(model, ranks, [seed], count=count)[0]
 

@@ -15,10 +15,10 @@ and never writes V: each step orthogonalizes the pivot column against an
 orthonormal basis of the earlier ones by classical Gram-Schmidt applied
 twice, as accurate as Householder here (Giraud, Langou & Rozloznik,
 Numer. Math. 101 (2005)), and downdates every norm from one level-2 BLAS
-`gemv`.  Q and R are formed only when read, by one LAPACK QR of the
-permuted columns.
+`gemv`.  The pivots and |R_kk| are its whole result: Q and R are never
+formed.
 
-Schur decompositions, eigenvalues, the pivoting loop and its QR run with
+Schur decompositions, eigenvalues and the pivoting loop run with
 scipy's OpenBLAS at one thread (`_one_lapack_thread`).  numpy and scipy each
 bundle an OpenBLAS with its own thread pool on the same CPUs; while one
 pool works the other's idle workers spin, so a two-thread scipy call waits
@@ -35,6 +35,7 @@ import ctypes
 import functools
 import gc
 import glob
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ import numpy as np
 import scipy
 import scipy.linalg as sla
 
-from .errors import DimensionError, NumericError, SingularMatrixError
+from .errors import DimensionError, NumericError
 
 # No compiled pivoting loop exists; the flag stays for callers that record it.
 _HAVE_NUMBA = False
@@ -54,7 +55,6 @@ __all__ = [
     "svd",
     "SchurForm",
     "schur",
-    "logdet_abs",
 ]
 
 # A downdated squared column norm at or below this fraction of its last
@@ -71,38 +71,26 @@ def as_matrix(a):
     return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
+def _integer(value, error, what):
+    """`value` as an int (numpy integers pass); `error` for any other type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class PivotedQR:
-    """Result of a column-pivoted QR factorization V P = Q R.
+    """Pivots of a column-pivoted QR factorization V P = Q R.
 
     pivot_order is the full column permutation: the n_steps pivots in the
     order they were chosen, then every other column in ascending original
     order.  r_diagonal holds |R_kk| for the pivots and is non-increasing.
-    q_factor (m x m) and r_factor are formed the first time they are read,
-    by one unpivoted LAPACK QR of V P on the result's own copy of V, with
-    R's diagonal real and nonnegative.
     """
 
     pivot_order: np.ndarray
     r_diagonal: np.ndarray
     n_steps: int
-    v: np.ndarray = field(repr=False)  # a copy of the input
-
-    @functools.cached_property
-    def _factors(self):
-        with _one_lapack_thread():
-            q, r = sla.qr(self.v[:, self.pivot_order])
-        # unit phases moved from R's rows into Q's columns: real R_kk >= 0
-        s = min(r.shape)
-        d = r[range(s), range(s)]
-        u = np.divide(d, abs(d), out=np.ones_like(d), where=d != 0)
-        r[:s] *= u.conj()[:, None]
-        r[range(s), range(s)] = abs(d)
-        q[:, :s] *= u
-        return q, r
-
-    q_factor = property(lambda self: self._factors[0])
-    r_factor = property(lambda self: self._factors[1])
 
 
 def _colnorms2(a):
@@ -128,8 +116,7 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     2-norm.  Ties go to the lowest original index (BLAS rounds equal columns
     differently by position, hence `_TIE_TOL`), and once the rows are
     exhausted that index rule alone decides.  Columns in `forbidden`
-    (original indices) are never chosen but are still factored, so
-    V P = Q R stays exact.
+    (original indices) are never chosen.
 
     The loop tracks squared residual norms only and never writes V: a
     negative key marks chosen and forbidden columns, and each step
@@ -145,23 +132,22 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     forbidden : iterable of int, optional
         Original column indices in [0, n) excluded from pivoting.
     max_pivots : int, optional
-        Choose at most this many pivots (default: as many as possible).
-        The factors, when read, are those of V P for the whole permutation,
-        so V P = Q R always holds with triangular R; only the first
-        `n_steps` columns carry pivot semantics.
+        Choose at most this many pivots (default: as many as possible);
+        only the first `n_steps` columns of `pivot_order` carry pivot
+        semantics.  A negative or non-integer count raises DimensionError.
 
     Returns
     -------
     PivotedQR
     """
-    a = np.array(as_matrix(v), order="C")
+    a = np.ascontiguousarray(as_matrix(v))  # read, never written
     m, n = a.shape
     if m == 0 or n == 0:
         raise DimensionError("pivoted_qr requires a nonempty matrix")
     cols = np.asarray(list(forbidden)).ravel()
     if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n):
         raise DimensionError(f"forbidden columns must be indices in [0, {n})")
-    if max_pivots is not None and max_pivots < 0:
+    if max_pivots is not None and _integer(max_pivots, DimensionError, "max_pivots") < 0:
         raise DimensionError(f"max_pivots must be nonnegative, got {max_pivots}")
 
     cols = cols.astype(np.intp)
@@ -205,7 +191,7 @@ def pivoted_qr(v, forbidden=(), max_pivots=None):
     piv = np.concatenate([np.array(piv, dtype=np.intp), np.flatnonzero(live)[: steps - len(piv)]])
     rest = np.ones(n, dtype=bool)
     rest[piv] = False
-    return PivotedQR(np.concatenate([piv, np.flatnonzero(rest)]), rdiag, steps, a)
+    return PivotedQR(np.concatenate([piv, np.flatnonzero(rest)]), rdiag, steps)
 
 
 def _pivoting_times(cases, windows=8, window_seconds=0.05, seed=12345):
@@ -306,7 +292,7 @@ def _one_lapack_thread():
 
 @dataclass
 class SchurForm:
-    """A = U T U* with T upper triangular, read as `form.u` and `form.t`.
+    """A = U T U* with T upper triangular (`form.t`), U kept as V and Z.
 
     For complex A, `v` is U itself.  For real A, `v` holds the real
     orthogonal vectors V of the real Schur form R = V^T A V, and U = V Z,
@@ -314,19 +300,13 @@ class SchurForm:
     rot[i] in rows and columns pairs[i] and pairs[i] + 1, one per 2x2
     diagonal block of R.  LAPACK's blocks never touch, so Z is
     block-diagonal, and `fold` and `unfold` apply it by O(n^2) row and
-    column pair updates.  U itself is formed only when read.
+    column pair updates.  U itself is never formed.
     """
 
     v: np.ndarray
     t: np.ndarray
     pairs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     rot: np.ndarray = field(default_factory=lambda: np.empty((0, 2, 2), dtype=np.complex128))
-
-    @functools.cached_property
-    def u(self):
-        u = self.v.astype(np.complex128)
-        _pair_rows(u.T, self.pairs, self.rot.transpose(0, 2, 1))  # (V Z)^T = Z^T V^T
-        return u
 
     def fold(self, x):
         """Z* X Z; a complex X is overwritten, a real one copied."""
@@ -402,14 +382,3 @@ def eigvals(a):
             return sla.eigvals(as_matrix(a))
     except sla.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def logdet_abs(a):
-    """log|det(a)| via the diagonal of an (unpivoted) QR factorization."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("logdet_abs requires a square matrix")
-    rdiag = np.abs(np.diag(np.linalg.qr(a, mode="r")))
-    if rdiag[0] == 0.0 or np.any(rdiag < 1e-14 * rdiag[0]):
-        raise SingularMatrixError("matrix is singular to working precision")
-    return float(np.sum(np.log(rdiag)))

@@ -125,36 +125,39 @@ def _pivots(v, r, what, forbidden=()):
 def select_sensors(c, psi_r):
     """Greedy sensor rows: first r pivots of the pivoted QR of (C Psi_r)*.
 
-    Returns (gamma, r_diag) with gamma in pivot order.
+    Returns (gamma, r_diag) with gamma in pivot order.  DimensionError
+    unless Psi_r has a row per column of C and C has at least r rows.
     """
-    cp = matkernel.as_matrix(c) @ matkernel.as_matrix(psi_r)
-    return _pivots(cp.conj().T, cp.shape[1], "sensors")
+    c, psi_r, _, r, _ = _checked(c, psi_r, "sensors")
+    return _pivots((c @ psi_r).conj().T, r, "sensors")
 
 
 def select_actuators(b, phi_r):
     """Greedy actuator columns: first r pivots of the pivoted QR of Phi_r* B.
 
     The dual of `select_sensors`: the same pivoting on the adjoint's
-    sampled modes.
+    sampled modes, with its DimensionError rules on B* and Phi_r.
     """
-    pb = matkernel.as_matrix(phi_r).conj().T @ matkernel.as_matrix(b)
-    return _pivots(pb, pb.shape[0], "actuators")
+    bt, phi_r, _, r, _ = _checked(matkernel.as_matrix(b).T, phi_r, "actuators")
+    return _pivots(phi_r.conj().T @ bt.T, r, "actuators")  # B^T has B*'s shape
 
 
 def select_noncollocated(c, b, psi_r, phi_r):
     """Select actuators first, then sensors other than those with a chosen
     actuator's index (sensor i and actuator i share a location, as for
-    B = C = I; an actuator index at or above p excludes none).  Excluded
-    sensors are still orthogonalized, so the sensor factorization stays
-    valid."""
-    cp = matkernel.as_matrix(c) @ matkernel.as_matrix(psi_r)
+    B = C = I; an actuator index at or above p excludes none).  The
+    DimensionError rules are those of `select_sensors` and
+    `select_actuators`."""
     beta, r_diag_b = select_actuators(b, phi_r)
-    gamma, r_diag_s = _pivots(cp.conj().T, cp.shape[1], "sensors", beta[beta < cp.shape[0]])
+    c, psi_r, p, r, _ = _checked(c, psi_r, "sensors")
+    gamma, r_diag_s = _pivots((c @ psi_r).conj().T, r, "sensors", beta[beta < p])
     return SelectionResult(gamma, beta, r_diag_s, r_diag_b)
 
 
 def select_subsets(c, b, psi_r, phi_r, no_collocate=False):
-    """Select both index sets; with `no_collocate`, by `select_noncollocated`."""
+    """Select both index sets; with `no_collocate`, by `select_noncollocated`.
+    DimensionError under the rules of `select_sensors` and
+    `select_actuators`."""
     if no_collocate:
         return select_noncollocated(c, b, psi_r, phi_r)
     gamma, rd_s = select_sensors(c, psi_r)
@@ -254,12 +257,6 @@ def _checked(c, psi_r, what, hankel=None):
     return c, psi_r, p, r, hankel
 
 
-def _sampled(c, psi_r, hankel, what):
-    """`_checked`'s values and sigma_min(C Psi_r)."""
-    c, psi_r, p, r, hankel = _checked(c, psi_r, what, hankel)
-    return c, psi_r, p, r, hankel, _smin(c @ psi_r, "C Psi_r")
-
-
 def _state_error_bounds(c, psi_r, hankel, what):
     """The state error bound with the sqrt(p-r+1) pivot-growth constant, and
     with the looser sqrt(p) * 2^r restatement; sigma_min(C Psi_r) and the
@@ -309,7 +306,8 @@ def actuator_logdet_lower_bound(b, phi_r, hankel, beta=None):
 
 
 def _logdet_lower_bound(c, psi_r, hankel, gamma, what):
-    c, psi_r, p, r, hankel, smin = _sampled(c, psi_r, hankel, what)
+    c, psi_r, p, r, hankel = _checked(c, psi_r, what, hankel)
+    smin = _smin(c @ psi_r, "C Psi_r")
     const = 9.0 * smin**2 / ((p - r + 1.0) * (4.0**r + 6.0 * r - 1.0))
     bound = float(r * np.log(const) + np.sum(np.log(hankel[:r])))
     if gamma is not None:
@@ -324,6 +322,8 @@ def achieved_rank_r_logdet(mat, modes, hankel, indices):
 
     log|C_hat (Psi S Psi*) C_hat*| for C_hat = mat[indices]; pass mat = B*
     and the Phi modes for the actuator objective log|B_hat* (Phi S Phi*) B_hat|.
+    Its log-det is read off the diagonal of an unpivoted QR;
+    SingularMatrixError when an |R_kk| falls below 1e-14 of the first.
     """
     mat, modes = matkernel.as_matrix(mat), matkernel.as_matrix(modes)
     r = modes.shape[1]
@@ -331,4 +331,7 @@ def achieved_rank_r_logdet(mat, modes, hankel, indices):
     idx = np.asarray(indices)
     hat = mat[idx, :] @ modes
     core = (hat * sig) @ hat.conj().T
-    return matkernel.logdet_abs(core)
+    rdiag = np.abs(np.diag(np.linalg.qr(core, mode="r")))
+    if rdiag[0] == 0.0 or np.any(rdiag < 1e-14 * rdiag[0]):
+        raise SingularMatrixError("matrix is singular to working precision")
+    return float(np.sum(np.log(rdiag)))

@@ -548,25 +548,26 @@ class TestSelectCommand:
     def test_state_bound_samples_once(self, capsys, monkeypatch):
         # both printed forms of the state error bound share one sigma_min and
         # the norms; with p >= n sigma_min comes from C* C, so C Psi_r is
-        # formed only by the log-det bounds (`_sampled`), and with p < n once
-        # more for the state bound's `_smin`
-        sampled, smin = [], []
+        # formed only by the log-det bounds (`_logdet_lower_bound`), and with
+        # p < n once more for the state bound's `_smin`
+        logdet_bounds, smin = [], []
 
-        def counting_sampled(c, psi_r, hankel, what, _inner=selection._sampled):
-            sampled.append(what)
-            return _inner(c, psi_r, hankel, what)
+        def counting_logdet_bound(c, psi_r, hankel, gamma, what,
+                                  _inner=selection._logdet_lower_bound):
+            logdet_bounds.append(what)
+            return _inner(c, psi_r, hankel, gamma, what)
 
         def counting_smin(mat, what, rtol=0.0, _inner=selection._smin):
             smin.append(what)
             return _inner(mat, what, rtol)
 
-        monkeypatch.setattr(selection, "_sampled", counting_sampled)
+        monkeypatch.setattr(selection, "_logdet_lower_bound", counting_logdet_bound)
         monkeypatch.setattr(selection, "_smin", counting_smin)
         for model, state_bound_smin in (("8,30,30,2", 0), ("30,8,8,2", 1)):  # n,p,q,seed
-            sampled.clear()
+            logdet_bounds.clear()
             smin.clear()
             assert run(["select", "--generate", model, "--rank", "3"]) == 0
-            assert sampled == ["sensors", "actuators"]  # the two log-det bounds
+            assert logdet_bounds == ["sensors", "actuators"]  # the two log-det bounds
             assert smin.count("C Psi_r") == 2 + state_bound_smin
 
     def test_csv_written(self, tmp_path, capsys):

@@ -67,6 +67,62 @@ class TestTraceObjective:
         assert evaluation.trace_objective([0, 2], w) == 4.0
 
 
+@pytest.mark.parametrize("objective", [evaluation.logdet_objective, evaluation.trace_objective],
+                         ids=["logdet", "trace"])
+@pytest.mark.parametrize(
+    "indices, gram, match",
+    [
+        ([0, -1], np.eye(5), r"must lie in \[0, 5\)"),
+        ([0, 99], np.eye(5), r"must lie in \[0, 5\)"),
+        ([0, 1.0], np.eye(5), "1-D array of integers"),
+        ([[0, 1]], np.eye(5), "1-D array of integers"),
+        ([0, 1], np.ones((5, 4)), "must be square"),
+    ],
+    ids=["negative", "past_p", "float", "two_d", "non_square"],
+)
+def test_objective_input_raises_dimension_error(objective, indices, gram, match):
+    with pytest.raises(DimensionError, match=match):
+        objective(indices, gram)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda g: balancing.balance(gramian.compute_gramians(random_stable_system(4, 2, 2, seed=1)),
+                                     2.5), RankError),
+        (lambda g: evaluation.rank_sweep(random_stable_system(4, 4, 4, seed=1), [2.5]), RankError),
+        (lambda g: balancing.truncation_error_bound(np.diag(g), 2.5), RankError),
+        (lambda g: matkernel.pivoted_qr(g, max_pivots=2.5), DimensionError),
+        (lambda g: evaluation.brute_force(g, 2.5), DimensionError),
+        (lambda g: evaluation.random_ensemble(g, 2.5, 3, 0), DimensionError),
+        (lambda g: evaluation.random_ensemble(g, 2, 2.5, 0), DimensionError),
+        (lambda g: evaluation.random_ensemble(g, 2, 0, 0), DimensionError),
+    ],
+    ids=["balance", "rank_sweep", "truncation_error_bound", "max_pivots", "brute_force",
+         "random_ensemble-budget", "random_ensemble-count", "random_ensemble-zero_count"],
+)
+def test_non_integer_ranks_budgets_and_counts_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call(np.diag([4.0, 3.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, k: [balancing.truncation_error_bound(np.diag(g), k)],
+        lambda g, k: balancing.balance(gramian.compute_gramians(random_stable_system(4, 2, 2, seed=1)),
+                                       k).psi_r.tolist(),
+        lambda g, k: matkernel.pivoted_qr(g, max_pivots=k).pivot_order.tolist(),
+        lambda g, k: evaluation.brute_force(g, k)[1].tolist(),
+        lambda g, k: evaluation.random_ensemble(g, k, k + 1, 0).tolist(),
+    ],
+    ids=["truncation_error_bound", "balance", "max_pivots", "brute_force", "random_ensemble"],
+)
+def test_numpy_integers_pass_like_ints(call):
+    g = np.diag([4.0, 3.0, 2.0, 1.0]) + 0.1
+    assert call(g, np.int64(2)) == call(g, 2)
+
+
 class TestBruteForce:
     def test_budget_equals_size(self):
         rng = np.random.default_rng(80)

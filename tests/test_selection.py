@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from balsel import balancing, evaluation, gramian, matkernel, selection
-from balsel.errors import DimensionError, FeasibilityError, NumericError, RankError
+from balsel.errors import (
+    DimensionError,
+    FeasibilityError,
+    NumericError,
+    RankError,
+    SingularMatrixError,
+)
 from balsel.models import random_stable_system
 from balsel.statespace import StateSpaceModel
 
@@ -246,6 +252,28 @@ class TestBounds:
         achieved = selection.achieved_rank_r_logdet(c, psi, hankel, [0])
         assert bound == pytest.approx(np.log(0.5), rel=1e-12)
         assert achieved == pytest.approx(np.log(0.5), rel=1e-12)
+
+    def test_achieved_logdet_matches_slogdet(self):
+        rng = np.random.default_rng(96)
+        c, modes = rng.standard_normal((12, 6)), rng.standard_normal((6, 3))
+        hankel = np.array([3.0, 2.0, 1.0, 0.5, 0.2, 0.1])
+        hat = c[[4, 0, 7]] @ modes
+        sign, expected = np.linalg.slogdet((hat * hankel[:3]) @ hat.T)
+        assert sign == 1.0
+        achieved = selection.achieved_rank_r_logdet(c, modes, hankel, [4, 0, 7])
+        assert achieved == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("row", ["duplicated", "near_duplicated", "zero"])
+    def test_achieved_logdet_of_a_singular_block_raises(self, row):
+        # the bound is finite, but the selected rows span fewer than r
+        # directions, exactly or to working precision
+        rng = np.random.default_rng(97)
+        c, modes = rng.standard_normal((12, 6)), rng.standard_normal((6, 3))
+        noise = 1e-16 * rng.standard_normal(6) if row == "near_duplicated" else 0.0
+        c[1] = 0.0 if row == "zero" else c[0] + noise
+        hankel = np.array([3.0, 2.0, 1.0, 0.5, 0.2, 0.1])
+        with pytest.raises(SingularMatrixError, match="^matrix is singular to working precision$"):
+            selection.sensor_logdet_lower_bound(c, modes, hankel, [0, 1, 2])
 
     def test_logdet_lower_bounds_hold_seeded(self):
         for seed in range(10):
@@ -516,6 +544,25 @@ class TestBoundInputErrors:
             [lambda: selection.sensor_projection(self.C, modes, indices),
              lambda: selection.actuator_projection(self.C.T, modes, indices)],
             match)
+
+
+    @pytest.mark.parametrize(
+        "select, side",
+        [
+            (lambda c, m7, m8: selection.select_sensors(c, m7), "sensors"),
+            (lambda c, m7, m8: selection.select_actuators(c.T, m7), "actuators"),
+            (lambda c, m7, m8: selection.select_noncollocated(c, c.T, m7, m8), "sensors"),
+            (lambda c, m7, m8: selection.select_noncollocated(c, c.T, m8, m7), "actuators"),
+            (lambda c, m7, m8: selection.select_subsets(c, c.T, m7, m8), "sensors"),
+            (lambda c, m7, m8: selection.select_subsets(c, c.T, m8, m7), "actuators"),
+        ],
+        ids=["select_sensors", "select_actuators", "select_noncollocated-sensors",
+             "select_noncollocated-actuators", "select_subsets-sensors", "select_subsets-actuators"],
+    )
+    def test_selector_modes_one_row_short(self, select, side):
+        with pytest.raises(DimensionError,
+                           match=f"modes have 7 rows, but the {side}' candidate matrix has 8 columns"):
+            select(self.C, self.MODES[:7], self.MODES)
 
 
 class TestGreedyVolume:
